@@ -1,0 +1,242 @@
+//! An independent reference oracle for the kernel's step semantics.
+//!
+//! Every other kernel test compares the kernel with itself (threads against
+//! one thread, one backend against another), so a bug in the shared step
+//! semantics or state encoding would agree with itself everywhere. This
+//! oracle shares none of that code: it interprets the random [`Move`] lists
+//! directly, over its own plain state `(pcs, counters, g0, g1, queue)`,
+//! keeps visited states in a `BTreeSet`, and applies no partial-order
+//! reduction. The kernel, run on the program compiled from the same moves
+//! with POR off and the exact backend at 1 and 2 threads, must agree on
+//!
+//! * the number of reachable states,
+//! * whether a deadlock is reachable, and
+//! * the set of reachable `(g0, g1)` valuations.
+//!
+//! The one buffered channel has capacity 2, so sends blocking on a full
+//! queue and receives taking the head of a partly filled one are covered.
+
+mod common;
+
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
+
+use common::{arb_move, build_program, Move, CHANNEL_CAPACITY};
+use pnp_kernel::{
+    expr, Checker, Predicate, Program, SafetyChecks, SafetyOutcome, SearchConfig, VisitedKind,
+};
+
+/// The oracle's global state. Process `i` is at move `pcs[i]`; it has
+/// finished when `pcs[i]` equals its move count.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct RefState {
+    pcs: Vec<usize>,
+    counters: Vec<i32>,
+    g0: i32,
+    g1: i32,
+    queue: Vec<i32>,
+}
+
+impl RefState {
+    fn global(&mut self, index: u8) -> &mut i32 {
+        if index == 0 {
+            &mut self.g0
+        } else {
+            &mut self.g1
+        }
+    }
+}
+
+/// Every successor of `s`, straight from the meaning of each move.
+fn successors(procs: &[Vec<Move>], s: &RefState) -> Vec<RefState> {
+    let mut out = Vec::new();
+    for (pi, moves) in procs.iter().enumerate() {
+        let Some(&mv) = moves.get(s.pcs[pi]) else {
+            continue;
+        };
+        let mut next = s.clone();
+        next.pcs[pi] += 1;
+        match mv {
+            Move::BumpGlobal(gi) => {
+                let g = next.global(gi);
+                *g = (*g + 1) % 4;
+                out.push(next);
+            }
+            Move::SendChan(v) => {
+                if s.queue.len() < CHANNEL_CAPACITY {
+                    next.queue.push(i32::from(v));
+                    out.push(next);
+                }
+            }
+            Move::RecvChan => {
+                // Two alternatives: take the head of a nonempty queue, or
+                // bail out when g0 is 3.
+                if !s.queue.is_empty() {
+                    let mut taken = next.clone();
+                    taken.queue.remove(0);
+                    out.push(taken);
+                }
+                if s.g0 == 3 {
+                    out.push(next);
+                }
+            }
+            Move::GuardedSkip(gi) => {
+                let g = next.global(gi);
+                if *g >= 3 {
+                    *g = 0;
+                }
+                out.push(next);
+            }
+            Move::BumpLocal => {
+                next.counters[pi] = (next.counters[pi] + 1) % 4;
+                out.push(next);
+            }
+        }
+    }
+    out
+}
+
+/// What the oracle knows about a program's reachable state space.
+struct Reference {
+    states: usize,
+    deadlock: bool,
+    valuations: BTreeSet<(i32, i32)>,
+}
+
+fn explore(procs: &[Vec<Move>]) -> Reference {
+    let initial = RefState {
+        pcs: vec![0; procs.len()],
+        counters: vec![0; procs.len()],
+        g0: 0,
+        g1: 0,
+        queue: Vec::new(),
+    };
+    let mut visited = BTreeSet::from([initial.clone()]);
+    let mut stack = vec![initial];
+    let mut deadlock = false;
+    let mut valuations = BTreeSet::new();
+    while let Some(s) = stack.pop() {
+        valuations.insert((s.g0, s.g1));
+        let next = successors(procs, &s);
+        let finished = s.pcs.iter().zip(procs).all(|(&pc, m)| pc == m.len());
+        if next.is_empty() && !finished {
+            deadlock = true;
+        }
+        for n in next {
+            if visited.insert(n.clone()) {
+                stack.push(n);
+            }
+        }
+    }
+    Reference {
+        states: visited.len(),
+        deadlock,
+        valuations,
+    }
+}
+
+fn checker(program: &Program, threads: usize) -> Checker<'_> {
+    Checker::with_config(
+        program,
+        SearchConfig {
+            partial_order_reduction: false,
+            threads,
+            visited: VisitedKind::Exact,
+            ..SearchConfig::default()
+        },
+    )
+}
+
+/// Checks the kernel against the oracle on one move list; the error names
+/// the first disagreement.
+fn agree(procs: &[Vec<Move>]) -> Result<(), String> {
+    let reference = explore(procs);
+    let program = build_program(procs);
+    let g0 = program.global_by_name("g0").unwrap();
+    let g1 = program.global_by_name("g1").unwrap();
+    for threads in [1, 2] {
+        let kernel = checker(&program, threads);
+        let states = kernel.state_space_size().unwrap().unique_states;
+        if states != reference.states {
+            return Err(format!(
+                "threads {threads}: kernel reached {states} states, oracle {}",
+                reference.states
+            ));
+        }
+        let outcome = kernel
+            .check_safety(&SafetyChecks::deadlock_only())
+            .unwrap()
+            .outcome;
+        let deadlock = matches!(outcome, SafetyOutcome::Deadlock { .. });
+        if deadlock != reference.deadlock || !(deadlock || outcome.is_holds()) {
+            return Err(format!(
+                "threads {threads}: kernel says {outcome:?}, oracle deadlock = {}",
+                reference.deadlock
+            ));
+        }
+        for a in 0..4 {
+            for b in 0..4 {
+                let at = Predicate::from_expr(expr::and(
+                    expr::eq(expr::global(g0), a.into()),
+                    expr::eq(expr::global(g1), b.into()),
+                ));
+                let reachable = kernel.find_reachable(&at).unwrap().is_some();
+                let expected = reference.valuations.contains(&(a, b));
+                if reachable != expected {
+                    return Err(format!(
+                        "threads {threads}: (g0, g1) = ({a}, {b}) kernel reachable = \
+                         {reachable}, oracle = {expected}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The kernel and the independent oracle agree on random programs.
+    #[test]
+    fn kernel_agrees_with_reference_oracle(
+        procs in proptest::collection::vec(
+            proptest::collection::vec(arb_move(), 1..5),
+            2..4,
+        ),
+    ) {
+        let verdict = agree(&procs);
+        prop_assert!(verdict.is_ok(), "{:?}; procs: {:?}", verdict, procs);
+    }
+}
+
+/// A fixed program that fills the capacity-2 queue, blocks a third send,
+/// and drains it out of order with another sender: the queue-encoding
+/// corner cases, independent of what the random cases happen to draw.
+#[test]
+fn buffered_channel_corner_cases_agree() {
+    let cases = [
+        vec![
+            vec![Move::SendChan(1), Move::SendChan(2), Move::SendChan(0)],
+            vec![Move::RecvChan, Move::RecvChan, Move::BumpGlobal(1)],
+        ],
+        vec![
+            vec![Move::SendChan(2), Move::RecvChan, Move::SendChan(1)],
+            vec![Move::SendChan(0), Move::BumpGlobal(0), Move::RecvChan],
+            vec![Move::RecvChan, Move::GuardedSkip(0)],
+        ],
+        // Nobody sends: the receivers deadlock unless g0 reaches 3.
+        vec![
+            vec![Move::RecvChan],
+            vec![Move::BumpGlobal(0), Move::BumpLocal],
+        ],
+    ];
+    for procs in cases {
+        let reference = explore(&procs);
+        assert!(reference.states > 1);
+        if let Err(disagreement) = agree(&procs) {
+            panic!("{disagreement}; procs: {procs:?}");
+        }
+    }
+}
