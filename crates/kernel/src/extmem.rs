@@ -1,11 +1,11 @@
 //! External-memory building blocks for out-of-core search: checksummed
-//! `PNPRUN01` run files on the [`Vfs`](crate::vfs::Vfs), a k-way
+//! `PNPRUN02` run files on the [`Vfs`](crate::vfs::Vfs), a k-way
 //! streaming merge with dedup, and a BFS frontier that spills to disk.
 //!
 //! ## Run file wire format (little-endian)
 //!
 //! ```text
-//! magic     8 B   "PNPRUN01"
+//! magic     8 B   "PNPRUN02"
 //! count     u64
 //! entries   count × (key u64, len u64, payload bytes)
 //! checksum  u64   -- FNV-1a + mix64 over all preceding bytes
@@ -16,7 +16,9 @@
 //! is written through [`commit_replace`], so a crash mid-write can never
 //! leave a half-written file at a run's path, and the trailing checksum
 //! turns torn prefixes and bit rot into clean [`io::ErrorKind::InvalidData`]
-//! errors instead of garbage states.
+//! errors instead of garbage states. The trailing two magic digits are the
+//! format version; they change with the state layout the payloads encode,
+//! and a run of another version is refused by name.
 
 use std::collections::VecDeque;
 use std::io;
@@ -24,11 +26,14 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use crate::rng::fnv64;
-use crate::snapshot::{decode_state, encode_state};
+use crate::snapshot::{decode_state, encode_state, encoded_state_len};
 use crate::state::State;
 use crate::vfs::{commit_replace, VfsHandle};
 
-pub(crate) const RUN_MAGIC: &[u8; 8] = b"PNPRUN01";
+pub(crate) const RUN_MAGIC: &[u8; 8] = b"PNPRUN02";
+
+/// The part of [`RUN_MAGIC`] every version shares.
+const RUN_MAGIC_FAMILY: &[u8; 6] = b"PNPRUN";
 
 /// One record in a run file: a 64-bit sort key (a state hash for visited
 /// runs, a discovery id for frontier chunks) and an opaque payload (the
@@ -46,7 +51,7 @@ fn corrupt(what: impl Into<String>) -> io::Error {
     )
 }
 
-/// Serializes entries into the checksummed `PNPRUN01` envelope.
+/// Serializes entries into the checksummed `PNPRUN02` envelope.
 pub(crate) fn encode_run(entries: &[RunEntry]) -> Vec<u8> {
     let mut out =
         Vec::with_capacity(8 + 8 + entries.iter().map(|e| 16 + e.payload.len()).sum::<usize>() + 8);
@@ -62,13 +67,23 @@ pub(crate) fn encode_run(entries: &[RunEntry]) -> Vec<u8> {
     out
 }
 
-/// Parses a `PNPRUN01` run, verifying magic and checksum first so any
+/// Parses a `PNPRUN02` run, verifying magic and checksum first so any
 /// truncation or bit flip is a clean [`io::ErrorKind::InvalidData`] error.
 pub(crate) fn decode_run(bytes: &[u8]) -> io::Result<Vec<RunEntry>> {
     if bytes.len() < 8 + 8 + 8 {
         return Err(corrupt("shorter than the fixed envelope"));
     }
     if &bytes[..8] != RUN_MAGIC {
+        if bytes.starts_with(RUN_MAGIC_FAMILY) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "run file version {} is not supported (this build reads {})",
+                    String::from_utf8_lossy(&bytes[..8]),
+                    String::from_utf8_lossy(RUN_MAGIC)
+                ),
+            ));
+        }
         return Err(corrupt("bad magic"));
     }
     let body = &bytes[..bytes.len() - 8];
@@ -134,7 +149,7 @@ pub(crate) fn merge_runs(runs: Vec<Vec<RunEntry>>) -> Vec<RunEntry> {
 }
 
 /// A FIFO BFS frontier that keeps a bounded tail in RAM and spills full
-/// chunks to `PNPRUN01` files, reading them back (and deleting them) in
+/// chunks to `PNPRUN02` files, reading them back (and deleting them) in
 /// order as the search drains the queue.
 ///
 /// Structure: `head` (states read back or pushed to the front) →
@@ -221,7 +236,7 @@ impl SpillFrontier {
     /// crosses the chunk capacity. On a flush error the tail (including
     /// this state) stays in RAM, so no state is ever lost.
     pub(crate) fn push_back(&mut self, id: usize, state: Rc<State>) -> io::Result<()> {
-        let bytes = encode_state(&state).len() + 16;
+        let bytes = encoded_state_len(&state) + 16;
         self.tail.push_back((id, state));
         self.tail_bytes += bytes;
         self.len += 1;
@@ -319,7 +334,6 @@ impl SpillFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::ProcState;
     use crate::vfs::{SimFs, Vfs};
     use std::path::Path;
     use std::sync::Arc;
@@ -332,15 +346,7 @@ mod tests {
     }
 
     fn tiny_state(tag: i32) -> State {
-        State {
-            procs: vec![ProcState {
-                loc: tag as u32,
-                locals: vec![tag, -tag].into_boxed_slice(),
-            }]
-            .into_boxed_slice(),
-            chans: Vec::new().into_boxed_slice(),
-            globals: vec![tag].into_boxed_slice(),
-        }
+        State::from_words(vec![tag, tag, -tag, tag].into_boxed_slice())
     }
 
     #[test]
@@ -368,6 +374,23 @@ mod tests {
     }
 
     #[test]
+    fn previous_run_version_is_refused_naming_both_versions() {
+        // A run of the nested state layout, with a valid checksum under its
+        // own magic, must be refused before any payload is decoded.
+        let mut bytes = encode_run(&[entry(7, b"payload")]);
+        bytes[..8].copy_from_slice(b"PNPRUN01");
+        let body_len = bytes.len() - 8;
+        let checksum = fnv64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        let err = decode_run(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "run file version PNPRUN01 is not supported (this build reads PNPRUN02)"
+        );
+    }
+
+    #[test]
     fn merge_sorts_and_dedups_across_runs() {
         let a = vec![entry(1, b"a"), entry(3, b"c"), entry(5, b"e")];
         let b = vec![entry(1, b"a"), entry(3, b"b"), entry(5, b"e")];
@@ -387,7 +410,7 @@ mod tests {
     #[test]
     fn spill_frontier_preserves_fifo_order_across_chunks() {
         let fs = Arc::new(SimFs::new(11));
-        // A ~40-byte state with a 1-byte chunk cap: every push flushes.
+        // A 24-byte state with a 1-byte chunk cap: every push flushes.
         let mut frontier = SpillFrontier::new(fs.clone(), Path::new("/spill"), 1, 64).unwrap();
         for i in 0..20 {
             frontier
@@ -402,7 +425,7 @@ mod tests {
         frontier.push_front(99, Rc::new(tiny_state(99)));
         let mut seen = Vec::new();
         while let Some((id, state)) = frontier.pop_front().unwrap() {
-            assert_eq!(state.globals[0] as usize, id);
+            assert_eq!(state.words()[0] as usize, id);
             seen.push(id);
         }
         let expected: Vec<usize> = std::iter::once(99).chain(0..20).collect();

@@ -119,6 +119,6 @@ pub use vfs::{
 };
 pub use visited::{
     bloom_omission_probability, BitstateVisited, CompactVisited, DiskExactVisited, ExactVisited,
-    ShardedBitstateVisited, ShardedCompactVisited, ShardedExactVisited, SharedInsert,
+    Insert, ShardedBitstateVisited, ShardedCompactVisited, ShardedExactVisited, SharedInsert,
     SharedVisitedSet, StateBudget, VisitedKind, VisitedSet,
 };

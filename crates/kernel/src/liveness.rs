@@ -18,7 +18,9 @@ use std::time::Instant;
 use pnp_ltl::{translate, Buchi, Ltl};
 
 use crate::explore::{CancelToken, Checker, Predicate, SearchStats};
-use crate::state::{apply_step, enabled_steps, KernelError, State, StateView, Step};
+use crate::state::{
+    apply_step, apply_step_into, enabled_steps, KernelError, State, StateHasher, StateView, Step,
+};
 use crate::trace::{Trace, TraceEvent};
 
 /// A named atomic proposition: binds a name used in LTL formulas to a state
@@ -133,7 +135,7 @@ struct ProductGraph<'p> {
     accepting: Vec<bool>,
 
     /// Interned system states.
-    sys_index: HashMap<Rc<State>, usize>,
+    sys_index: HashMap<Rc<State>, usize, StateHasher>,
     sys_states: Vec<Rc<State>>,
     /// Cached successor lists; `None` until computed. An empty list means
     /// the state is terminal (stutter applies).
@@ -226,9 +228,9 @@ pub(crate) fn moved_procs(step: &Step, buf: &mut [usize; 2]) -> usize {
 }
 
 impl<'p> ProductGraph<'p> {
-    fn intern_sys(&mut self, state: State) -> Option<usize> {
-        let rc = Rc::new(state);
-        if let Some(&id) = self.sys_index.get(&rc) {
+    /// The id of `state`, interning a copy of it when it is new.
+    fn intern_sys(&mut self, state: &State) -> Option<usize> {
+        if let Some(&id) = self.sys_index.get(state) {
             return Some(id);
         }
         // Cancellation shares the truncation path: the product search
@@ -247,6 +249,7 @@ impl<'p> ProductGraph<'p> {
             return None;
         }
         let id = self.sys_states.len();
+        let rc = Rc::new(state.clone());
         self.sys_index.insert(Rc::clone(&rc), id);
         self.sys_states.push(rc);
         self.sys_succ.push(None);
@@ -327,12 +330,13 @@ impl<'p> ProductGraph<'p> {
         let state = Rc::clone(&self.sys_states[sys_id]);
         let mut steps = enabled_steps(self.checker.program, &state)?;
         if let Some(analysis) = &self.reduction {
-            steps = crate::reduction::ample_subset(analysis, &state, steps);
+            steps = crate::reduction::ample_subset(analysis, self.checker.program, &state, steps);
         }
         let mut successors = Vec::with_capacity(steps.len());
+        let mut scratch = (*state).clone();
         for step in steps {
-            let applied = apply_step(self.checker.program, &state, step)?;
-            if let Some(next_id) = self.intern_sys(applied.state) {
+            apply_step_into(self.checker.program, &state, step, &mut scratch, None)?;
+            if let Some(next_id) = self.intern_sys(&scratch) {
                 successors.push((step, next_id));
             }
         }
@@ -486,7 +490,7 @@ pub(crate) fn check_ltl_sequential(
             props,
             buchi: compiled,
             accepting,
-            sys_index: HashMap::new(),
+            sys_index: HashMap::default(),
             sys_states: Vec::new(),
             sys_succ: Vec::new(),
             labels: Vec::new(),
@@ -502,7 +506,7 @@ pub(crate) fn check_ltl_sequential(
         };
 
         let initial_sys = graph
-            .intern_sys(State::initial(checker.program))
+            .intern_sys(&State::initial(checker.program))
             .expect("max_states must be at least 1");
 
         // Initial product nodes: automaton transitions out of state 0 that

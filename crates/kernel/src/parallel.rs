@@ -52,7 +52,8 @@ use crate::program::Program;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::snapshot::{program_fingerprint, Snapshot, VisitedPayload};
 use crate::state::{
-    apply_step, enabled_steps, is_valid_end_state, KernelError, State, StateView, Step,
+    apply_step, apply_step_into, enabled_steps, is_valid_end_state, KernelError, State, StateView,
+    Step,
 };
 use crate::trace::Trace;
 use crate::visited::{
@@ -153,6 +154,8 @@ fn pop_job(w: usize, deques: &[Mutex<VecDeque<Job>>]) -> Option<Job> {
 /// One worker's loop over a level.
 fn run_worker(ctx: &LevelCtx<'_>, w: usize, deques: &[Mutex<VecDeque<Job>>]) -> WorkerOut {
     let mut out = WorkerOut::default();
+    // Every successor is built in this buffer and copied out only when new.
+    let mut scratch = State::initial(ctx.program);
     while let Some((id, state)) = pop_job(w, deques) {
         // Once any stop cause is set, remaining jobs drain into the
         // leftovers so the checkpoint frontier stays complete.
@@ -178,7 +181,7 @@ fn run_worker(ctx: &LevelCtx<'_>, w: usize, deques: &[Mutex<VecDeque<Job>>]) -> 
             out.depth_trimmed = true;
             continue;
         }
-        if let Err(error) = expand(ctx, id, &state, &mut out) {
+        if let Err(error) = expand(ctx, id, &state, &mut scratch, &mut out) {
             trip(ctx.stop, STOP_ERROR);
             out.error = Some(error);
             out.leftover.push((id, state));
@@ -194,6 +197,7 @@ fn expand(
     ctx: &LevelCtx<'_>,
     id: usize,
     state: &Arc<State>,
+    scratch: &mut State,
     out: &mut WorkerOut,
 ) -> Result<(), KernelError> {
     let mut steps = enabled_steps(ctx.program, state)?;
@@ -213,18 +217,18 @@ fn expand(
         return Ok(());
     }
     if let Some(analysis) = ctx.reduction {
-        steps = ample_subset(analysis, state, steps);
+        steps = ample_subset(analysis, ctx.program, state, steps);
     }
 
     let mut steps_this_expansion = 0;
     for step in steps {
         out.steps += 1;
         steps_this_expansion += 1;
-        let applied = apply_step(ctx.program, state, step)?;
+        let failed_assertion = apply_step_into(ctx.program, state, step, scratch, None)?;
 
         // Assertions fire on the edge: report even when the target state
         // was already visited. The successor is skipped either way.
-        if let Some(message) = applied.assertion_failure {
+        if let Some(message) = failed_assertion {
             out.violations.push(PendingViolation::Assertion {
                 parent: id,
                 parent_state: Arc::clone(state),
@@ -239,11 +243,7 @@ fn expand(
             continue;
         }
 
-        let next = Arc::new(applied.state);
-        if ctx.visited.contains(&next) {
-            continue;
-        }
-        match ctx.visited.insert_if_new(&next, ctx.budget) {
+        match ctx.visited.insert_if_new(scratch, ctx.budget) {
             SharedInsert::Duplicate => continue,
             SharedInsert::BudgetExhausted => {
                 // Mirror the sequential kernel's trip semantics: roll the
@@ -255,7 +255,7 @@ fn expand(
                 trip(ctx.stop, STOP_STATES);
                 return Ok(());
             }
-            SharedInsert::Inserted => {
+            SharedInsert::Inserted(next) => {
                 let disc = out.discoveries.len();
                 out.discoveries.push((Arc::clone(&next), id, step));
                 if let Some(hit) = eval_invariants(ctx.checks, &StateView::new(ctx.program, &next))?

@@ -45,7 +45,9 @@ use crate::liveness::{
 use crate::program::Program;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::rng::SplitMix64;
-use crate::state::{apply_step, enabled_steps, KernelError, State, StateView, Step};
+use crate::state::{
+    apply_step, apply_step_into, enabled_steps, KernelError, State, StateHasher, StateView, Step,
+};
 use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::visited::ShardedNodeSet;
 
@@ -89,7 +91,7 @@ struct LassoCandidate {
 /// The `max_states` budget is charged here, at the same counting point as
 /// the sequential checker (on first interning).
 struct SysInterner {
-    index: HashMap<Arc<State>, usize>,
+    index: HashMap<Arc<State>, usize, StateHasher>,
     states: Vec<Arc<State>>,
 }
 
@@ -216,11 +218,12 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         state
     }
 
-    /// Interns a system state, charging the shared `max_states` budget;
-    /// `None` marks the search truncated, like the sequential checker.
-    fn intern(&mut self, state: State) -> Option<usize> {
+    /// Interns a copy of a new system state, charging the shared
+    /// `max_states` budget; `None` marks the search truncated, like the
+    /// sequential checker.
+    fn intern(&mut self, state: &State) -> Option<usize> {
         let mut interner = self.shared.interner.lock().expect("interner poisoned");
-        if let Some(&id) = interner.index.get(&state) {
+        if let Some(&id) = interner.index.get(state) {
             return Some(id);
         }
         if interner.states.len() >= self.shared.max_states {
@@ -228,7 +231,7 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
             return None;
         }
         let id = interner.states.len();
-        let rc = Arc::new(state);
+        let rc = Arc::new(state.clone());
         interner.index.insert(Arc::clone(&rc), id);
         interner.states.push(rc);
         Some(id)
@@ -241,12 +244,13 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         let state = self.state_of(sys);
         let mut steps = enabled_steps(self.shared.program, &state)?;
         if let Some(analysis) = &self.shared.reduction {
-            steps = ample_subset(analysis, &state, steps);
+            steps = ample_subset(analysis, self.shared.program, &state, steps);
         }
         let mut successors = Vec::with_capacity(steps.len());
+        let mut scratch = (*state).clone();
         for step in steps {
-            let applied = apply_step(self.shared.program, &state, step)?;
-            if let Some(next) = self.intern(applied.state) {
+            apply_step_into(self.shared.program, &state, step, &mut scratch, None)?;
+            if let Some(next) = self.intern(&scratch) {
                 successors.push((step, next));
             }
         }
@@ -713,7 +717,7 @@ pub(crate) fn check_ltl_parallel(
         max_states: checker.config.max_states,
         roots,
         interner: Mutex::new(SysInterner {
-            index: HashMap::from([(Arc::clone(&initial), 0)]),
+            index: HashMap::from_iter([(Arc::clone(&initial), 0)]),
             states: vec![initial],
         }),
         blue: ShardedNodeSet::new(),

@@ -5,6 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::expression::Expr;
+use crate::state::Layout;
 
 /// Identifies a channel within a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -587,6 +588,8 @@ pub struct Program {
     pub(crate) channels: Vec<ChannelDecl>,
     pub(crate) processes: Vec<ProcessDef>,
     pub(crate) globals: Vec<(String, i32)>,
+    /// Where each part of a state lives in its word slice.
+    pub(crate) layout: Layout,
 }
 
 impl Program {
@@ -910,7 +913,7 @@ impl ProgramBuilder {
         Ok(())
     }
 
-    /// Finishes the program.
+    /// Finishes the program, deriving its state layout.
     ///
     /// # Errors
     ///
@@ -919,10 +922,12 @@ impl ProgramBuilder {
         if self.processes.is_empty() {
             return Err(BuildError::NoProcesses);
         }
+        let layout = Layout::new(&self.channels, &self.processes, &self.globals);
         Ok(Program {
             channels: self.channels,
             processes: self.processes,
             globals: self.globals,
+            layout,
         })
     }
 }

@@ -28,7 +28,7 @@
 //! interact unsoundly).
 
 use crate::expression::Expr;
-use crate::program::{Action, LValue, Program};
+use crate::program::{Action, LValue, ProcId, Program};
 
 /// Per-(process, location) flags: `true` when every outgoing transition is
 /// local and invisible.
@@ -146,11 +146,13 @@ impl LocalLocations {
 /// otherwise all steps (full expansion).
 pub(crate) fn ample_subset(
     analysis: &LocalLocations,
+    program: &Program,
     state: &crate::state::State,
     steps: Vec<crate::state::Step>,
 ) -> Vec<crate::state::Step> {
-    for (pi, ps) in state.procs.iter().enumerate() {
-        if !analysis.is_local(pi, ps.loc) {
+    let view = crate::state::StateView::new(program, state);
+    for pi in 0..program.processes.len() {
+        if !analysis.is_local(pi, view.location(ProcId(pi)).0) {
             continue;
         }
         let ample: Vec<crate::state::Step> = steps

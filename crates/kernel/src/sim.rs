@@ -9,7 +9,9 @@
 
 use crate::program::Program;
 use crate::rng::SplitMix64;
-use crate::state::{apply_step, enabled_steps, is_valid_end_state, KernelError, State, StateView};
+use crate::state::{
+    apply_step_into, enabled_steps, is_valid_end_state, KernelError, State, StateView,
+};
 use crate::trace::TraceEvent;
 
 /// What one simulation step did.
@@ -61,6 +63,8 @@ pub struct SimReport {
 pub struct Simulator<'p> {
     program: &'p Program,
     state: State,
+    /// Where the next state is built before it is swapped in.
+    scratch: State,
     rng: SplitMix64,
     steps_taken: usize,
 }
@@ -72,6 +76,7 @@ impl<'p> Simulator<'p> {
         Simulator {
             program,
             state: State::initial(program),
+            scratch: State::initial(program),
             rng: SplitMix64::seed_from_u64(seed),
             steps_taken: 0,
         }
@@ -106,10 +111,17 @@ impl<'p> Simulator<'p> {
             });
         }
         let choice = steps[self.rng.gen_index(steps.len())];
-        let applied = apply_step(self.program, &self.state, choice)?;
-        self.state = applied.state;
+        let mut events = Vec::new();
+        apply_step_into(
+            self.program,
+            &self.state,
+            choice,
+            &mut self.scratch,
+            Some(&mut events),
+        )?;
+        std::mem::swap(&mut self.state, &mut self.scratch);
         self.steps_taken += 1;
-        Ok(SimObservation::Step(applied.events))
+        Ok(SimObservation::Step(events))
     }
 
     /// Runs up to `max_steps` steps.

@@ -8,7 +8,7 @@
 //! compiled [`Program`] so a snapshot can never be resumed against a
 //! different model.
 //!
-//! ## Wire format (version 2, little-endian)
+//! ## Wire format (version 3, little-endian)
 //!
 //! ```text
 //! magic     8 B   "PNPSNAP1"
@@ -25,7 +25,13 @@
 //! visited   backend payload  -- exact/disk: none (rebuilt by replay);
 //!                               compact: hashes; bitstate: arena words
 //! checksum  u64              -- FNV-1a + mix64 over all preceding bytes
+//!
+//! state     u64 word count, i32 words  -- the flat state layout
 //! ```
+//!
+//! The version changes whenever the state layout does (version 3 is the
+//! flat word layout), because the same state codec is embedded in
+//! checkpoints, cluster-shipped snapshots and the out-of-core run files.
 //!
 //! The trailing checksum makes truncation and bit corruption detectable:
 //! decoding verifies it before parsing, so a damaged file yields a clean
@@ -34,18 +40,17 @@
 //! heaviest structure and is fully determined by the parent links, so
 //! resume rebuilds it by replaying each state's discovery step.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 
 use crate::program::{ProcId, Program};
 use crate::rng::fnv64;
-use crate::state::{Msg, ProcState, State, Step};
+use crate::state::{State, Step};
 use crate::vfs::{commit_replace, real_fs, VfsHandle};
 use crate::visited::VisitedKind;
 
 const MAGIC: &[u8; 8] = b"PNPSNAP1";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// A stable 64-bit fingerprint of a compiled [`Program`].
 ///
@@ -253,7 +258,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] for anything that is not a well-formed
-    /// version-2 snapshot — wrong magic, unknown version, truncation, a
+    /// snapshot of this build's version — wrong magic, unknown version, truncation, a
     /// checksum mismatch, or internally inconsistent structures. Never
     /// panics on malformed input.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
@@ -483,6 +488,11 @@ pub(crate) fn encode_state(state: &State) -> Vec<u8> {
     w.out
 }
 
+/// The length of [`encode_state`]'s output, without encoding.
+pub(crate) fn encoded_state_len(state: &State) -> usize {
+    8 + 4 * state.words().len()
+}
+
 /// Decodes one state written by [`encode_state`], requiring the whole
 /// buffer to be consumed.
 pub(crate) fn decode_state(bytes: &[u8]) -> Result<State, SnapshotError> {
@@ -549,26 +559,8 @@ impl Writer {
     }
 
     fn state(&mut self, state: &State) {
-        self.u64(state.procs.len() as u64);
-        for proc in state.procs.iter() {
-            self.u32(proc.loc);
-            self.u64(proc.locals.len() as u64);
-            for &v in proc.locals.iter() {
-                self.i32(v);
-            }
-        }
-        self.u64(state.chans.len() as u64);
-        for chan in state.chans.iter() {
-            self.u64(chan.len() as u64);
-            for msg in chan.iter() {
-                self.u64(msg.fields().len() as u64);
-                for &v in msg.fields() {
-                    self.i32(v);
-                }
-            }
-        }
-        self.u64(state.globals.len() as u64);
-        for &v in state.globals.iter() {
+        self.u64(state.words().len() as u64);
+        for &v in state.words() {
             self.i32(v);
         }
     }
@@ -600,10 +592,6 @@ impl Reader<'_> {
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, SnapshotError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn usize(&mut self) -> Result<usize, SnapshotError> {
@@ -638,45 +626,14 @@ impl Reader<'_> {
     }
 
     fn state(&mut self) -> Result<State, SnapshotError> {
-        let n_procs = self.usize()?;
-        let mut procs = Vec::new();
-        for _ in 0..n_procs {
-            let loc = self.u32()?;
-            let n_locals = self.usize()?;
-            let mut locals = Vec::new();
-            for _ in 0..n_locals {
-                locals.push(self.i32()?);
-            }
-            procs.push(ProcState {
-                loc,
-                locals: locals.into_boxed_slice(),
-            });
-        }
-        let n_chans = self.usize()?;
-        let mut chans = Vec::new();
-        for _ in 0..n_chans {
-            let n_msgs = self.usize()?;
-            let mut queue = VecDeque::new();
-            for _ in 0..n_msgs {
-                let n_fields = self.usize()?;
-                let mut fields = Vec::new();
-                for _ in 0..n_fields {
-                    fields.push(self.i32()?);
-                }
-                queue.push_back(Msg::new(fields));
-            }
-            chans.push(queue);
-        }
-        let n_globals = self.usize()?;
-        let mut globals = Vec::new();
-        for _ in 0..n_globals {
-            globals.push(self.i32()?);
-        }
-        Ok(State {
-            procs: procs.into_boxed_slice(),
-            chans: chans.into_boxed_slice(),
-            globals: globals.into_boxed_slice(),
-        })
+        let n_words = self.usize()?;
+        let bytes = self.take(n_words.checked_mul(4).ok_or(SnapshotError::Truncated)?)?;
+        Ok(State::from_words(
+            bytes
+                .chunks_exact(4)
+                .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
+                .collect(),
+        ))
     }
 }
 
@@ -692,15 +649,7 @@ mod tests {
     use super::*;
 
     pub(crate) fn sample_snapshot() -> Snapshot {
-        let state = State {
-            procs: vec![ProcState {
-                loc: 3,
-                locals: vec![1, -2].into_boxed_slice(),
-            }]
-            .into_boxed_slice(),
-            chans: vec![VecDeque::from([Msg::new(vec![7, 8])])].into_boxed_slice(),
-            globals: vec![-9, 0, 42].into_boxed_slice(),
-        };
+        let state = State::from_words(vec![3, 1, -2, 1, 7, 8, -9, 0, 42].into_boxed_slice());
         let step = Step {
             proc: ProcId::from_index(0),
             trans: 1,
@@ -803,6 +752,23 @@ mod tests {
         assert_eq!(
             Snapshot::decode(&bytes).err(),
             Some(SnapshotError::UnsupportedVersion(99))
+        );
+    }
+
+    #[test]
+    fn previous_layout_version_is_refused_naming_both_versions() {
+        // A checkpoint of the nested state layout (version 2), sealed with
+        // a valid checksum, must be refused before any state is decoded.
+        let mut bytes = sample_snapshot().encode();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let checksum = fnv64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        let err = Snapshot::decode(&bytes).unwrap_err();
+        assert_eq!(err, SnapshotError::UnsupportedVersion(2));
+        assert_eq!(
+            err.to_string(),
+            "unsupported snapshot version 2 (this build reads 3)"
         );
     }
 
