@@ -8,8 +8,9 @@
 //! between two slots:
 //!
 //! * `<base>.a` / `<base>.b` — each holds one *generation envelope*:
-//!   `PNPGEN01` magic, a monotonic generation counter, the payload, and
-//!   a trailing FNV/mix64 checksum.
+//!   `PNPGEN02` magic, a monotonic generation counter, the payload, and
+//!   a trailing [`checksum64`]. (`PNPGEN01` sealed with FNV-1a; an
+//!   envelope of another version is refused by name.)
 //! * A commit writes the next generation into the slot *not* holding
 //!   the newest valid one, through the [`commit_replace`] discipline
 //!   (tmp + `sync_file` + rename + `sync_dir`).
@@ -24,11 +25,14 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::rng::fnv64;
+use crate::rng::checksum64;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotSink};
 use crate::vfs::{commit_replace, tmp_sibling, VfsHandle};
 
-const GEN_MAGIC: &[u8; 8] = b"PNPGEN01";
+const GEN_MAGIC: &[u8; 8] = b"PNPGEN02";
+
+/// The part of [`GEN_MAGIC`] every version shares.
+const GEN_MAGIC_FAMILY: &[u8; 6] = b"PNPGEN";
 
 /// Wraps `payload` in a generation envelope.
 pub fn encode_generation(generation: u64, payload: &[u8]) -> Vec<u8> {
@@ -37,27 +41,36 @@ pub fn encode_generation(generation: u64, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&generation.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let checksum = fnv64(&out);
+    let checksum = checksum64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
-/// Unwraps a generation envelope, verifying magic, length, and checksum.
+/// Unwraps a generation envelope, verifying magic (and version), length,
+/// and checksum.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural problem — wrong magic,
-/// truncation, checksum mismatch. Never panics on malformed input.
+/// another format version, truncation, checksum mismatch. Never panics on
+/// malformed input.
 pub fn decode_generation(bytes: &[u8]) -> Result<(u64, Vec<u8>), String> {
     if bytes.len() < GEN_MAGIC.len() + 8 + 8 + 8 {
         return Err("generation envelope is truncated".into());
     }
     if &bytes[..8] != GEN_MAGIC {
+        if bytes.starts_with(GEN_MAGIC_FAMILY) {
+            return Err(format!(
+                "generation envelope version {} is not supported (this build reads {})",
+                String::from_utf8_lossy(&bytes[..8]),
+                String::from_utf8_lossy(GEN_MAGIC)
+            ));
+        }
         return Err("not a generation envelope (bad magic)".into());
     }
     let body = &bytes[..bytes.len() - 8];
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv64(body) != stored {
+    if checksum64(body) != stored {
         return Err("generation envelope checksum mismatch".into());
     }
     let generation = u64::from_le_bytes(body[8..16].try_into().unwrap());
@@ -290,6 +303,21 @@ mod tests {
             bad[i] ^= 0x20;
             assert!(decode_generation(&bad).is_err(), "bit flip at {i}");
         }
+    }
+
+    #[test]
+    fn previous_envelope_version_is_refused_naming_both_versions() {
+        // A `PNPGEN01` envelope as the previous format wrote it, sealed
+        // with that format's FNV-1a checksum, must be refused by name.
+        let mut bytes = encode_generation(3, b"payload");
+        bytes[..8].copy_from_slice(b"PNPGEN01");
+        let body_len = bytes.len() - 8;
+        let checksum = crate::rng::fnv64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            decode_generation(&bytes).unwrap_err(),
+            "generation envelope version PNPGEN01 is not supported (this build reads PNPGEN02)"
+        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! External-memory building blocks for out-of-core search: checksummed
-//! `PNPRUN02` run files on the [`Vfs`](crate::vfs::Vfs), a k-way
+//! `PNPRUN03` run files on the [`Vfs`](crate::vfs::Vfs), a k-way
 //! streaming merge with dedup, and a BFS frontier that spills to disk.
 //!
 //! ## Run file wire format (little-endian)
 //!
 //! ```text
-//! magic     8 B   "PNPRUN02"
+//! magic     8 B   "PNPRUN03"
 //! count     u64
 //! entries   count × (key u64, len u64, payload bytes)
-//! checksum  u64   -- FNV-1a + mix64 over all preceding bytes
+//! checksum  u64   -- checksum64 over all preceding bytes
 //! ```
 //!
 //! Runs holding visited-set partitions are sorted by `(key, payload)`;
@@ -17,20 +17,23 @@
 //! leave a half-written file at a run's path, and the trailing checksum
 //! turns torn prefixes and bit rot into clean [`io::ErrorKind::InvalidData`]
 //! errors instead of garbage states. The trailing two magic digits are the
-//! format version; they change with the state layout the payloads encode,
-//! and a run of another version is refused by name.
+//! format version; they change with the state layout the payloads encode
+//! or the checksum that seals them (`03` moved from FNV-1a to the
+//! word-at-a-time [`checksum64`]), and a run of another version is refused
+//! by name before its checksum is even computed.
 
 use std::collections::VecDeque;
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use crate::rng::fnv64;
+use crate::rng::checksum64;
 use crate::snapshot::{decode_state, encode_state, encoded_state_len};
 use crate::state::State;
 use crate::vfs::{commit_replace, VfsHandle};
 
-pub(crate) const RUN_MAGIC: &[u8; 8] = b"PNPRUN02";
+pub(crate) const RUN_MAGIC: &[u8; 8] = b"PNPRUN03";
 
 /// The part of [`RUN_MAGIC`] every version shares.
 const RUN_MAGIC_FAMILY: &[u8; 6] = b"PNPRUN";
@@ -51,7 +54,7 @@ fn corrupt(what: impl Into<String>) -> io::Error {
     )
 }
 
-/// Serializes entries into the checksummed `PNPRUN02` envelope.
+/// Serializes entries into the checksummed `PNPRUN03` envelope.
 pub(crate) fn encode_run(entries: &[RunEntry]) -> Vec<u8> {
     let mut out =
         Vec::with_capacity(8 + 8 + entries.iter().map(|e| 16 + e.payload.len()).sum::<usize>() + 8);
@@ -62,14 +65,17 @@ pub(crate) fn encode_run(entries: &[RunEntry]) -> Vec<u8> {
         out.extend_from_slice(&(entry.payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&entry.payload);
     }
-    let checksum = fnv64(&out);
+    let checksum = checksum64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
-/// Parses a `PNPRUN02` run, verifying magic and checksum first so any
-/// truncation or bit flip is a clean [`io::ErrorKind::InvalidData`] error.
-pub(crate) fn decode_run(bytes: &[u8]) -> io::Result<Vec<RunEntry>> {
+/// Validates a `PNPRUN03` run and locates its entries without copying
+/// them: each entry's key and the byte range of its payload in `bytes`.
+/// Magic (and version) are checked first, then the checksum over the
+/// whole file, then every bound, so any truncation or bit flip is a clean
+/// [`io::ErrorKind::InvalidData`] error.
+pub(crate) fn index_run(bytes: &[u8]) -> io::Result<Vec<(u64, Range<usize>)>> {
     if bytes.len() < 8 + 8 + 8 {
         return Err(corrupt("shorter than the fixed envelope"));
     }
@@ -88,7 +94,7 @@ pub(crate) fn decode_run(bytes: &[u8]) -> io::Result<Vec<RunEntry>> {
     }
     let body = &bytes[..bytes.len() - 8];
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv64(body) != stored {
+    if checksum64(body) != stored {
         return Err(corrupt("checksum mismatch"));
     }
     let count = u64::from_le_bytes(body[8..16].try_into().unwrap());
@@ -108,16 +114,25 @@ pub(crate) fn decode_run(bytes: &[u8]) -> io::Result<Vec<RunEntry>> {
             .checked_add(len)
             .filter(|&end| end <= body.len())
             .ok_or_else(|| corrupt(format!("entry {i} payload out of bounds")))?;
-        entries.push(RunEntry {
-            key,
-            payload: body[header_end..end].to_vec(),
-        });
+        entries.push((key, header_end..end));
         pos = end;
     }
     if pos != body.len() {
         return Err(corrupt(format!("{} trailing bytes", body.len() - pos)));
     }
     Ok(entries)
+}
+
+/// Parses a `PNPRUN03` run into owned entries (see [`index_run`] for what
+/// is verified).
+pub(crate) fn decode_run(bytes: &[u8]) -> io::Result<Vec<RunEntry>> {
+    Ok(index_run(bytes)?
+        .into_iter()
+        .map(|(key, range)| RunEntry {
+            key,
+            payload: bytes[range].to_vec(),
+        })
+        .collect())
 }
 
 /// Merges sorted runs into one sorted run via a k-way streaming heap,
@@ -149,7 +164,7 @@ pub(crate) fn merge_runs(runs: Vec<Vec<RunEntry>>) -> Vec<RunEntry> {
 }
 
 /// A FIFO BFS frontier that keeps a bounded tail in RAM and spills full
-/// chunks to `PNPRUN02` files, reading them back (and deleting them) in
+/// chunks to `PNPRUN03` files, reading them back (and deleting them) in
 /// order as the search drains the queue.
 ///
 /// Structure: `head` (states read back or pushed to the front) →
@@ -334,6 +349,7 @@ impl SpillFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::fnv64;
     use crate::vfs::{SimFs, Vfs};
     use std::path::Path;
     use std::sync::Arc;
@@ -375,10 +391,11 @@ mod tests {
 
     #[test]
     fn previous_run_version_is_refused_naming_both_versions() {
-        // A run of the nested state layout, with a valid checksum under its
-        // own magic, must be refused before any payload is decoded.
+        // A `PNPRUN02` run as the previous format wrote it, sealed with
+        // that format's FNV-1a checksum, must be refused by name: the
+        // version is checked before the checksum.
         let mut bytes = encode_run(&[entry(7, b"payload")]);
-        bytes[..8].copy_from_slice(b"PNPRUN01");
+        bytes[..8].copy_from_slice(b"PNPRUN02");
         let body_len = bytes.len() - 8;
         let checksum = fnv64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
@@ -386,7 +403,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(
             err.to_string(),
-            "run file version PNPRUN01 is not supported (this build reads PNPRUN02)"
+            "run file version PNPRUN02 is not supported (this build reads PNPRUN03)"
         );
     }
 

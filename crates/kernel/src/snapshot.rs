@@ -8,7 +8,7 @@
 //! compiled [`Program`] so a snapshot can never be resumed against a
 //! different model.
 //!
-//! ## Wire format (version 3, little-endian)
+//! ## Wire format (version 4, little-endian)
 //!
 //! ```text
 //! magic     8 B   "PNPSNAP1"
@@ -24,14 +24,18 @@
 //! frontier  u64 count, (id u64, state) each
 //! visited   backend payload  -- exact/disk: none (rebuilt by replay);
 //!                               compact: hashes; bitstate: arena words
-//! checksum  u64              -- FNV-1a + mix64 over all preceding bytes
+//! checksum  u64              -- checksum64 over all preceding bytes
 //!
 //! state     u64 word count, i32 words  -- the flat state layout
 //! ```
 //!
 //! The version changes whenever the state layout does (version 3 is the
 //! flat word layout), because the same state codec is embedded in
-//! checkpoints, cluster-shipped snapshots and the out-of-core run files.
+//! checkpoints, cluster-shipped snapshots and the out-of-core run files,
+//! and whenever the checksum does (version 4 seals with the word-at-a-time
+//! [`checksum64`] instead of FNV-1a). Decoding reads magic and version
+//! before anything else, so an old file is refused by name, not by a
+//! checksum it was never sealed with.
 //!
 //! The trailing checksum makes truncation and bit corruption detectable:
 //! decoding verifies it before parsing, so a damaged file yields a clean
@@ -44,13 +48,13 @@ use std::fmt;
 use std::path::PathBuf;
 
 use crate::program::{ProcId, Program};
-use crate::rng::fnv64;
+use crate::rng::{checksum64, fnv64};
 use crate::state::{State, Step};
 use crate::vfs::{commit_replace, real_fs, VfsHandle};
 use crate::visited::VisitedKind;
 
 const MAGIC: &[u8; 8] = b"PNPSNAP1";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// A stable 64-bit fingerprint of a compiled [`Program`].
 ///
@@ -247,7 +251,7 @@ impl Snapshot {
                 w.u64(*inserted);
             }
         }
-        let checksum = fnv64(&w.out);
+        let checksum = checksum64(&w.out);
         w.u64(checksum);
         w.out
     }
@@ -274,19 +278,21 @@ impl Snapshot {
         if &bytes[..8] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
+        // The version before the checksum: another version's file is
+        // sealed with another checksum, and must be refused by name.
+        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        if version != VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
         let body = &bytes[..bytes.len() - 8];
         let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv64(body) != stored {
+        if checksum64(body) != stored {
             return Err(SnapshotError::Corrupted("checksum mismatch".into()));
         }
         let mut r = Reader {
             bytes: body,
-            pos: 8,
+            pos: 12,
         };
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
         let fingerprint = r.u64()?;
         let tag = r.str()?;
         let kind = match r.u8()? {
@@ -483,9 +489,20 @@ pub fn load_snapshot(path: impl AsRef<std::path::Path>) -> Result<Snapshot, Snap
 /// files ([`crate::extmem`]) reuse this so a state has exactly one byte
 /// representation across every on-disk structure.
 pub(crate) fn encode_state(state: &State) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut out = Vec::with_capacity(encoded_state_len(state));
+    encode_state_into(state, &mut out);
+    out
+}
+
+/// [`encode_state`] into a caller-owned buffer, replacing its contents, so
+/// a hot probe loop can reuse one allocation.
+pub(crate) fn encode_state_into(state: &State, out: &mut Vec<u8>) {
+    out.clear();
+    let mut w = Writer {
+        out: std::mem::take(out),
+    };
     w.state(state);
-    w.out
+    *out = w.out;
 }
 
 /// The length of [`encode_state`]'s output, without encoding.
@@ -747,7 +764,7 @@ mod tests {
         // Overwrite the version field (offset 8) and re-seal the checksum.
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let checksum = fnv64(&bytes[..body_len]);
+        let checksum = checksum64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
         assert_eq!(
             Snapshot::decode(&bytes).err(),
@@ -756,19 +773,20 @@ mod tests {
     }
 
     #[test]
-    fn previous_layout_version_is_refused_naming_both_versions() {
-        // A checkpoint of the nested state layout (version 2), sealed with
-        // a valid checksum, must be refused before any state is decoded.
+    fn previous_version_is_refused_by_name_not_by_checksum() {
+        // A version 3 checkpoint as the previous format wrote it, sealed
+        // with that format's FNV-1a checksum, must be refused by its
+        // version, not reported as a checksum mismatch.
         let mut bytes = sample_snapshot().encode();
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
         let body_len = bytes.len() - 8;
         let checksum = fnv64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
         let err = Snapshot::decode(&bytes).unwrap_err();
-        assert_eq!(err, SnapshotError::UnsupportedVersion(2));
+        assert_eq!(err, SnapshotError::UnsupportedVersion(3));
         assert_eq!(
             err.to_string(),
-            "unsupported snapshot version 2 (this build reads 3)"
+            "unsupported snapshot version 3 (this build reads 4)"
         );
     }
 

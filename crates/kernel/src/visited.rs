@@ -31,14 +31,15 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::extmem::{decode_run, encode_run, merge_runs, RunEntry};
+use crate::extmem::{decode_run, encode_run, index_run, merge_runs, RunEntry};
 use crate::rng::{mix64, SplitMix64};
-use crate::snapshot::encode_state;
+use crate::snapshot::{encode_state, encode_state_into};
 use crate::state::{words_hash, State, StateHasher};
 use crate::vfs::{commit_replace, VfsHandle};
 
@@ -506,7 +507,7 @@ pub fn bloom_omission_probability(m_bits: u64, k_hashes: u32, n_inserted: usize)
 }
 
 /// The exact backend, out-of-core: full state payloads in checksummed
-/// `PNPRUN02` partitions on a [`Vfs`](crate::vfs::Vfs), fronted in RAM by
+/// `PNPRUN03` partitions on a [`Vfs`](crate::vfs::Vfs), fronted in RAM by
 /// a Bloom filter (negative probes are free), per-partition write
 /// buffers, and a sorted 8-byte-per-state hash index over each run.
 ///
@@ -536,7 +537,20 @@ pub struct DiskExactVisited {
     spill_bytes: usize,
     merge_passes: usize,
     pending: RefCell<Option<io::Error>>,
-    cache: RefCell<Option<(PathBuf, Vec<RunEntry>)>>,
+    /// Boxed, so the disk variant of `AnyVisited` stays near the others'
+    /// size.
+    cache: RefCell<Option<Box<CachedRun>>>,
+    /// The probed state's encoding, reused across probes.
+    scratch: RefCell<Vec<u8>>,
+}
+
+/// The single-run read cache: one run file's verified bytes and the
+/// index of its entries, so a probe compares payloads in place.
+struct CachedRun {
+    part: usize,
+    seq: u64,
+    bytes: Vec<u8>,
+    index: Vec<(u64, Range<usize>)>,
 }
 
 #[derive(Default)]
@@ -597,6 +611,7 @@ impl DiskExactVisited {
             merge_passes: 0,
             pending: RefCell::new(None),
             cache: RefCell::new(None),
+            scratch: RefCell::new(Vec::new()),
         })
     }
 
@@ -647,19 +662,24 @@ impl DiskExactVisited {
     /// Whether `payload` is in the run file, consulting (and refilling)
     /// the single-run read cache.
     fn probe_run(&self, part: usize, seq: u64, hash: u64, payload: &[u8]) -> io::Result<bool> {
-        let path = self.run_path(part, seq);
         let mut cache = self.cache.borrow_mut();
-        let cached = matches!(cache.as_ref(), Some((p, _)) if *p == path);
+        let cached = matches!(&*cache, Some(run) if run.part == part && run.seq == seq);
         if !cached {
-            let entries = decode_run(&self.vfs.read(&path)?)?;
-            *cache = Some((path, entries));
+            let bytes = self.vfs.read(&self.run_path(part, seq))?;
+            let index = index_run(&bytes)?;
+            *cache = Some(Box::new(CachedRun {
+                part,
+                seq,
+                bytes,
+                index,
+            }));
         }
-        let entries = &cache.as_ref().expect("cache just filled").1;
-        let start = entries.partition_point(|e| e.key < hash);
-        Ok(entries[start..]
+        let run = cache.as_ref().expect("cache just filled");
+        let start = run.index.partition_point(|(key, _)| *key < hash);
+        Ok(run.index[start..]
             .iter()
-            .take_while(|e| e.key == hash)
-            .any(|e| e.payload == payload))
+            .take_while(|(key, _)| *key == hash)
+            .any(|(_, range)| run.bytes[range.clone()] == *payload))
     }
 
     /// Writes partition `part`'s buffer out as a new sorted run. On error
@@ -754,9 +774,10 @@ impl VisitedSet for DiskExactVisited {
         }
         let hash = state.content_hash();
         let part = hash as usize & (DISK_PARTITIONS - 1);
-        let payload = encode_state(state);
+        let mut payload = self.scratch.borrow_mut();
+        encode_state_into(state, &mut payload);
         if let Some(candidates) = self.parts[part].buf.get(&hash) {
-            if candidates.contains(&payload) {
+            if candidates.contains(&*payload) {
                 return true;
             }
         }
@@ -1603,6 +1624,73 @@ mod tests {
         assert!(set.contains(&a));
         assert!(!set.contains(&b));
         assert_eq!(set.len(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The disk set agrees with a `BTreeSet` model under random
+        /// inserts and probes, across many runs, 8-run compactions and
+        /// read-cache misses in every partition; and a run damaged on disk
+        /// makes its next miss answer "new" with a parked `InvalidData`
+        /// error, never a wrong "present".
+        #[test]
+        fn disk_exact_agrees_with_a_set_model(
+            pool in proptest::collection::vec(
+                proptest::collection::vec(-4i32..5, 1..5),
+                150..400,
+            ),
+            ops in proptest::collection::vec((0usize..10_000, 0u8..3), 300..800),
+            victim in 0usize..10_000,
+            flip in 0usize..100_000,
+        ) {
+            let states: Vec<State> = pool
+                .iter()
+                .map(|words| State::from_words(words.clone().into_boxed_slice()))
+                .collect();
+            let fs = Arc::new(crate::vfs::SimFs::new(24));
+            let dir = std::path::Path::new("/visited");
+            // A 1-byte buffer cap: every insert flushes a run of its own.
+            let mut set = DiskExactVisited::new(fs.clone(), dir, 1, 4096).unwrap();
+            let mut model = std::collections::BTreeSet::new();
+            for &(pick, op) in &ops {
+                let i = pick % pool.len();
+                if op == 0 {
+                    proptest::prop_assert_eq!(set.contains(&states[i]), model.contains(&pool[i]));
+                } else {
+                    let inserted = matches!(set.insert_if_new(&states[i], true), Insert::Inserted(_));
+                    proptest::prop_assert_eq!(inserted, model.insert(pool[i].clone()));
+                }
+                proptest::prop_assert!(set.take_error().is_none());
+            }
+            proptest::prop_assert_eq!(set.len(), model.len());
+            if set.len() > DISK_PARTITIONS * (DISK_MAX_RUNS - 1) {
+                // Some partition must have reached DISK_MAX_RUNS runs.
+                proptest::prop_assert!(set.merge_passes() >= 1);
+            }
+
+            // Damage one run file, after noting a member it holds.
+            let mut runs = fs.list(dir).unwrap();
+            runs.sort();
+            let victim = runs.remove(victim % runs.len());
+            let mut bytes = fs.read(&victim).unwrap();
+            let member = decode_run(&bytes).unwrap()[0].payload.clone();
+            let member = crate::snapshot::decode_state(&member).unwrap();
+            let byte = flip / 8 % bytes.len();
+            bytes[byte] ^= 1 << (flip % 8);
+            fs.write(&victim, &bytes).unwrap();
+            // Probing a member of another run first evicts the victim from
+            // the read cache, so the next probe of it must read the file.
+            if let Some(other) = runs.first() {
+                let other = decode_run(&fs.read(other).unwrap()).unwrap()[0].payload.clone();
+                let other = crate::snapshot::decode_state(&other).unwrap();
+                proptest::prop_assert!(set.contains(&other));
+                proptest::prop_assert!(set.take_error().is_none());
+            }
+            proptest::prop_assert!(!set.contains(&member), "damaged run answered present");
+            let err = set.take_error().expect("the damaged run must park an error");
+            proptest::prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

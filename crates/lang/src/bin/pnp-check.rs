@@ -75,7 +75,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pnp_kernel::{
-    cancel_on_termination, watch_termination, CancelToken, SearchConfig, VisitedKind,
+    cancel_on_termination, watch_termination, CancelToken, GenStore, SearchConfig, Snapshot,
+    VisitedKind,
 };
 use pnp_lang::{ChannelFaultAst, Pos, SystemAst, VerifyOptions};
 use pnp_net::{json_num, json_str, percent_encode, ClientError, RealTcp, SubmitClient};
@@ -177,6 +178,25 @@ fn apply_fault(ast: &mut SystemAst, spec: &str) -> Result<(), String> {
         conn.fault = Some(decorator);
         Ok(())
     }
+}
+
+/// Why each existing generation slot of `base` was refused (another
+/// format version, damage), or `None` when there is no slot at all.
+fn refused_generations(base: &str) -> Option<String> {
+    let store = GenStore::new(pnp_kernel::real_fs(), base);
+    let reasons: Vec<String> = store
+        .slot_paths()
+        .iter()
+        .filter_map(|path| {
+            let bytes = std::fs::read(path).ok()?;
+            let why = match pnp_kernel::decode_generation(&bytes) {
+                Ok((_, payload)) => Snapshot::decode(&payload).err()?.to_string(),
+                Err(e) => e,
+            };
+            Some(format!("{}: {why}", path.display()))
+        })
+        .collect();
+    (!reasons.is_empty()).then(|| reasons.join("; "))
 }
 
 /// Parses `--budget states=N,time=MS,depth=D,mem=BYTES` (any subset).
@@ -394,7 +414,8 @@ fn main() -> ExitCode {
                     Some(snapshot)
                 }
                 Err(e) => {
-                    eprintln!("pnp-check: cannot resume from {file}: {e}");
+                    let why = refused_generations(file).unwrap_or_else(|| e.to_string());
+                    eprintln!("pnp-check: cannot resume from {file}: {why}");
                     return ExitCode::from(2);
                 }
             },

@@ -4,7 +4,7 @@
 //! shedding, cancellation, permanent vs. transient failure handling, and
 //! drain/restore across a supervisor restart.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -444,6 +444,49 @@ fn corrupt_queue_file_is_quarantined() {
         .exists());
     assert_eq!(supervisor.stats().quarantined, 1);
     supervisor.drain();
+}
+
+/// Checkpoint slots of the previous format (`PNPGEN01` around a version 3
+/// snapshot, as committed under the repository's `tests/fixtures/`) that
+/// belong to a restored job are refused by the startup sweep and
+/// quarantined, never resumed: the job reruns from scratch.
+#[test]
+fn previous_format_checkpoints_are_quarantined() {
+    let mut config = test_config("old-format");
+    config.workers = 1;
+    let supervisor = Supervisor::start(config.clone()).unwrap();
+    // Wedge the only worker so the second job is still queued at drain.
+    supervisor
+        .submit(request(
+            COUNTERS,
+            JobConfig {
+                chaos: Some(Chaos::WedgeStartMs {
+                    ms: 300,
+                    attempts: 1,
+                }),
+                ..JobConfig::default()
+            },
+        ))
+        .unwrap();
+    let queued = supervisor
+        .submit(request(COUNTERS, JobConfig::default()))
+        .unwrap();
+    supervisor.drain();
+
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let slot_name = |slot: &str| format!("job-{}.pnpsnap.{slot}", queued.0);
+    for slot in ["a", "b"] {
+        let bytes = std::fs::read(fixtures.join(format!("wire_pnpgen01.ckpt.{slot}"))).unwrap();
+        std::fs::write(config.state_dir.join(slot_name(slot)), bytes).unwrap();
+    }
+    let restarted = Supervisor::start(config.clone()).unwrap();
+    assert_eq!(restarted.stats().quarantined, 2);
+    for slot in ["a", "b"] {
+        let quarantined = config.state_dir.join("quarantine").join(slot_name(slot));
+        assert!(quarantined.exists(), "{}", quarantined.display());
+    }
+    assert_eq!(restarted.wait_done(queued, WAIT), Some(Verdict::Passed));
+    restarted.drain();
 }
 
 /// A liveness workload: `arrives` holds under the default weak fairness
