@@ -18,8 +18,8 @@ use crate::snapshot::{
     program_fingerprint, SnapStats, Snapshot, SnapshotError, SnapshotSink, VisitedPayload,
 };
 use crate::state::{
-    apply_step, apply_step_into, enabled_steps, is_valid_end_state, KernelError, State, StateView,
-    Step,
+    apply_step, apply_step_into, enabled_steps, enabled_steps_into, is_valid_end_state,
+    KernelError, State, StateView, Step,
 };
 use crate::trace::Trace;
 use crate::vfs::VfsHandle;
@@ -1320,6 +1320,9 @@ impl<'p> Checker<'p> {
         let mut depth_trimmed = false;
         let mut states_at_last_flush = parents.len();
         let mut scratch = State::initial(program);
+        // Each expansion's enabled steps and a rendezvous send's message
+        // are built in these, reused across states.
+        let (mut steps, mut message) = (Vec::new(), Vec::new());
 
         'search: loop {
             if frontier.is_empty() {
@@ -1432,7 +1435,7 @@ impl<'p> Checker<'p> {
                 }
             }
 
-            let mut steps = enabled_steps(program, &state)?;
+            enabled_steps_into(program, &state, &mut steps, &mut message)?;
             stats.max_depth = stats.max_depth.max(depths[id]);
 
             if steps.is_empty() {
@@ -1455,10 +1458,10 @@ impl<'p> Checker<'p> {
             }
 
             if let Some(analysis) = &reduction {
-                steps = crate::reduction::ample_subset(analysis, program, &state, steps);
+                crate::reduction::ample_subset(analysis, program, &state, &mut steps);
             }
             let mut steps_this_expansion = 0;
-            for step in steps {
+            for &step in &steps {
                 stats.steps += 1;
                 steps_this_expansion += 1;
                 // The successor lands in the scratch buffer; the visited

@@ -330,7 +330,7 @@ impl<'p> ProductGraph<'p> {
         let state = Rc::clone(&self.sys_states[sys_id]);
         let mut steps = enabled_steps(self.checker.program, &state)?;
         if let Some(analysis) = &self.reduction {
-            steps = crate::reduction::ample_subset(analysis, self.checker.program, &state, steps);
+            crate::reduction::ample_subset(analysis, self.checker.program, &state, &mut steps);
         }
         let mut successors = Vec::with_capacity(steps.len());
         let mut scratch = (*state).clone();

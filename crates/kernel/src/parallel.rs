@@ -52,8 +52,8 @@ use crate::program::Program;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::snapshot::{program_fingerprint, Snapshot, VisitedPayload};
 use crate::state::{
-    apply_step, apply_step_into, enabled_steps, is_valid_end_state, KernelError, State, StateView,
-    Step,
+    apply_step, apply_step_into, enabled_steps_into, is_valid_end_state, KernelError, State,
+    StateView, Step,
 };
 use crate::trace::Trace;
 use crate::visited::{
@@ -154,8 +154,10 @@ fn pop_job(w: usize, deques: &[Mutex<VecDeque<Job>>]) -> Option<Job> {
 /// One worker's loop over a level.
 fn run_worker(ctx: &LevelCtx<'_>, w: usize, deques: &[Mutex<VecDeque<Job>>]) -> WorkerOut {
     let mut out = WorkerOut::default();
-    // Every successor is built in this buffer and copied out only when new.
+    // Every successor is built in this buffer and copied out only when new;
+    // the step buffers are reused across the worker's states too.
     let mut scratch = State::initial(ctx.program);
+    let (mut steps, mut message) = (Vec::new(), Vec::new());
     while let Some((id, state)) = pop_job(w, deques) {
         // Once any stop cause is set, remaining jobs drain into the
         // leftovers so the checkpoint frontier stays complete.
@@ -181,7 +183,15 @@ fn run_worker(ctx: &LevelCtx<'_>, w: usize, deques: &[Mutex<VecDeque<Job>>]) -> 
             out.depth_trimmed = true;
             continue;
         }
-        if let Err(error) = expand(ctx, id, &state, &mut scratch, &mut out) {
+        if let Err(error) = expand(
+            ctx,
+            id,
+            &state,
+            &mut scratch,
+            &mut steps,
+            &mut message,
+            &mut out,
+        ) {
             trip(ctx.stop, STOP_ERROR);
             out.error = Some(error);
             out.leftover.push((id, state));
@@ -192,15 +202,18 @@ fn run_worker(ctx: &LevelCtx<'_>, w: usize, deques: &[Mutex<VecDeque<Job>>]) -> 
 
 /// Expands one state: enabled steps, deadlock check, ample-set reduction,
 /// successor interning, and per-successor safety checks — the parallel
-/// mirror of the sequential kernel's expansion loop.
+/// mirror of the sequential kernel's expansion loop. `scratch`, `steps`
+/// and `message` are the worker's buffers, reused across its states.
 fn expand(
     ctx: &LevelCtx<'_>,
     id: usize,
     state: &Arc<State>,
     scratch: &mut State,
+    steps: &mut Vec<Step>,
+    message: &mut Vec<i32>,
     out: &mut WorkerOut,
 ) -> Result<(), KernelError> {
-    let mut steps = enabled_steps(ctx.program, state)?;
+    enabled_steps_into(ctx.program, state, steps, message)?;
     out.expanded = true;
 
     if steps.is_empty() {
@@ -217,11 +230,11 @@ fn expand(
         return Ok(());
     }
     if let Some(analysis) = ctx.reduction {
-        steps = ample_subset(analysis, ctx.program, state, steps);
+        ample_subset(analysis, ctx.program, state, steps);
     }
 
     let mut steps_this_expansion = 0;
-    for step in steps {
+    for &step in steps.iter() {
         out.steps += 1;
         steps_this_expansion += 1;
         let failed_assertion = apply_step_into(ctx.program, state, step, scratch, None)?;

@@ -244,7 +244,7 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         let state = self.state_of(sys);
         let mut steps = enabled_steps(self.shared.program, &state)?;
         if let Some(analysis) = &self.shared.reduction {
-            steps = ample_subset(analysis, self.shared.program, &state, steps);
+            ample_subset(analysis, self.shared.program, &state, &mut steps);
         }
         let mut successors = Vec::with_capacity(steps.len());
         let mut scratch = (*state).clone();

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::expression::Expr;
-use crate::state::Layout;
+use crate::state::{Layout, Partners};
 
 /// Identifies a channel within a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -583,13 +583,31 @@ impl ProcessBuilder {
 }
 
 /// A complete, validated program. Build one with [`ProgramBuilder`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Program {
     pub(crate) channels: Vec<ChannelDecl>,
     pub(crate) processes: Vec<ProcessDef>,
     pub(crate) globals: Vec<(String, i32)>,
     /// Where each part of a state lives in its word slice.
     pub(crate) layout: Layout,
+    /// Which receive transitions can partner each rendezvous channel's
+    /// sends.
+    pub(crate) partners: Partners,
+}
+
+/// Renders exactly what a derived `Debug` rendered before the partner
+/// index existed: [`program_fingerprint`](crate::program_fingerprint)
+/// hashes this text, so a derived field added here would refuse every
+/// checkpoint written by an earlier build of the same program.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("channels", &self.channels)
+            .field("processes", &self.processes)
+            .field("globals", &self.globals)
+            .field("layout", &self.layout)
+            .finish()
+    }
 }
 
 impl Program {
@@ -742,6 +760,8 @@ pub struct ProgramBuilder {
     channels: Vec<ChannelDecl>,
     processes: Vec<ProcessDef>,
     globals: Vec<(String, i32)>,
+    /// The added processes' rendezvous receives, for the partner index.
+    receives: Vec<(u32, u32, u32, u32)>,
 }
 
 impl ProgramBuilder {
@@ -777,8 +797,11 @@ impl ProgramBuilder {
     pub fn add_process(&mut self, builder: ProcessBuilder) -> Result<ProcId, BuildError> {
         let def = builder.into_def();
         self.validate_process(&def)?;
+        let proc = self.processes.len();
+        self.receives
+            .extend(Partners::receives_of(&self.channels, proc, &def));
         self.processes.push(def);
-        Ok(ProcId(self.processes.len() - 1))
+        Ok(ProcId(proc))
     }
 
     fn check_expr(&self, process: &str, e: &Expr, locals: usize) -> Result<(), BuildError> {
@@ -913,7 +936,8 @@ impl ProgramBuilder {
         Ok(())
     }
 
-    /// Finishes the program, deriving its state layout.
+    /// Finishes the program, deriving its state layout and rendezvous
+    /// partner index.
     ///
     /// # Errors
     ///
@@ -923,11 +947,13 @@ impl ProgramBuilder {
             return Err(BuildError::NoProcesses);
         }
         let layout = Layout::new(&self.channels, &self.processes, &self.globals);
+        let partners = Partners::new(self.channels.len(), self.receives);
         Ok(Program {
             channels: self.channels,
             processes: self.processes,
             globals: self.globals,
             layout,
+            partners,
         })
     }
 }

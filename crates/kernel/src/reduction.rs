@@ -141,30 +141,24 @@ impl LocalLocations {
     }
 }
 
-/// Restricts `steps` to an ample subset: the enabled steps of the lowest-
-/// numbered process currently at an ample-eligible local location, if any;
-/// otherwise all steps (full expansion).
+/// Restricts `steps`, in place, to an ample subset: the enabled steps of
+/// the lowest-numbered process currently at an ample-eligible local
+/// location, if any; otherwise all steps (full expansion).
 pub(crate) fn ample_subset(
     analysis: &LocalLocations,
     program: &Program,
     state: &crate::state::State,
-    steps: Vec<crate::state::Step>,
-) -> Vec<crate::state::Step> {
+    steps: &mut Vec<crate::state::Step>,
+) {
     let view = crate::state::StateView::new(program, state);
     for pi in 0..program.processes.len() {
-        if !analysis.is_local(pi, view.location(ProcId(pi)).0) {
-            continue;
-        }
-        let ample: Vec<crate::state::Step> = steps
-            .iter()
-            .copied()
-            .filter(|s| s.proc.index() == pi)
-            .collect();
-        if !ample.is_empty() {
-            return ample;
+        if analysis.is_local(pi, view.location(ProcId(pi)).0)
+            && steps.iter().any(|s| s.proc.index() == pi)
+        {
+            steps.retain(|s| s.proc.index() == pi);
+            return;
         }
     }
-    steps
 }
 
 #[cfg(test)]

@@ -89,10 +89,11 @@ impl QueueLayout {
         &words[start..start + self.arity]
     }
 
-    fn push(self, words: &mut [i32], fields: &[i32]) {
+    /// Appends a message slot and returns where its fields go.
+    fn push_slot(self, words: &mut [i32]) -> Range<usize> {
         let start = self.at + 1 + self.len(words) * self.arity;
-        words[start..start + self.arity].copy_from_slice(fields);
         words[self.at] += 1;
+        start..start + self.arity
     }
 
     /// Removes the `i`-th oldest message, shifting the younger ones down
@@ -187,6 +188,99 @@ impl Layout {
             globals: &words[self.globals()],
             pid: proc as i32,
         }
+    }
+}
+
+/// The rendezvous partner index, derived once by
+/// [`ProgramBuilder::build`](crate::ProgramBuilder::build) next to the
+/// [`Layout`]: for each rendezvous channel, the processes that receive on
+/// it, in ascending order, each with its receive transitions on that
+/// channel by location. A rendezvous send visits only these transitions.
+///
+/// The index is three flat arrays, so building it costs a handful of
+/// allocations however many channels and processes the program has.
+#[derive(Clone)]
+pub(crate) struct Partners {
+    /// Channel `c`'s receivers are `receivers[chans[c]..chans[c + 1]]`;
+    /// a buffered channel has none.
+    chans: Box<[u32]>,
+    receivers: Box<[Receiver]>,
+    /// Every receiver's `(location, transition index)` pairs, ascending.
+    recvs: Box<[(u32, u32)]>,
+}
+
+/// One process that receives on one channel.
+#[derive(Clone)]
+struct Receiver {
+    proc: usize,
+    /// Where its pairs are in `Partners::recvs`.
+    recvs: Range<usize>,
+}
+
+impl Partners {
+    /// `proc`'s rendezvous receives as (channel, process, location,
+    /// transition). [`ProgramBuilder`](crate::ProgramBuilder) collects
+    /// them as each process is added, while its transitions are still in
+    /// cache.
+    pub(crate) fn receives_of<'a>(
+        channels: &'a [ChannelDecl],
+        proc: usize,
+        def: &'a ProcessDef,
+    ) -> impl Iterator<Item = (u32, u32, u32, u32)> + 'a {
+        (0u32..)
+            .zip(&def.outgoing)
+            .flat_map(move |(loc, transitions)| {
+                (0u32..)
+                    .zip(transitions)
+                    .filter_map(move |(ti, t)| match &t.action {
+                        Action::Recv { chan, .. } if channels[chan.index()].is_rendezvous() => {
+                            Some((chan.index() as u32, proc as u32, loc, ti))
+                        }
+                        _ => None,
+                    })
+            })
+    }
+
+    /// Builds the index of `channel_count` channels from every receive
+    /// [`Partners::receives_of`] listed; sorted, they are its order.
+    pub(crate) fn new(channel_count: usize, mut all: Vec<(u32, u32, u32, u32)>) -> Partners {
+        all.sort_unstable();
+        // One receiver per (channel, process) run; `chans` counts each
+        // channel's receivers, then becomes their offsets.
+        let mut chans = vec![0; channel_count + 1];
+        let mut receivers = Vec::with_capacity(all.len());
+        let mut start = 0;
+        for run in all.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (chan, proc, ..) = run[0];
+            chans[chan as usize + 1] += 1;
+            receivers.push(Receiver {
+                proc: proc as usize,
+                recvs: start..start + run.len(),
+            });
+            start += run.len();
+        }
+        for c in 0..channel_count {
+            chans[c + 1] += chans[c];
+        }
+        Partners {
+            chans: chans.into_boxed_slice(),
+            receivers: receivers.into_boxed_slice(),
+            recvs: all.iter().map(|&(.., loc, ti)| (loc, ti)).collect(),
+        }
+    }
+
+    /// The processes that receive on `chan`, in ascending order.
+    fn receivers(&self, chan: ChanId) -> &[Receiver] {
+        let c = chan.index();
+        &self.receivers[self.chans[c] as usize..self.chans[c + 1] as usize]
+    }
+
+    /// `receiver`'s transitions on its channel at location `loc`.
+    fn at(&self, receiver: &Receiver, loc: u32) -> impl Iterator<Item = usize> + '_ {
+        self.recvs[receiver.recvs.clone()]
+            .iter()
+            .filter(move |&&(l, _)| l == loc)
+            .map(|&(_, ti)| ti as usize)
     }
 }
 
@@ -500,20 +594,24 @@ fn guard_holds(
     Ok(true)
 }
 
-fn eval_msg(
+/// Evaluates a send's fields in the sender's context into `out`.
+fn eval_msg_into(
     program: &Program,
     words: &[i32],
     proc: usize,
     msg: &[Expr],
     label: &str,
-) -> Result<Vec<i32>, KernelError> {
+    out: &mut Vec<i32>,
+) -> Result<(), KernelError> {
     let ctx = program.layout.ctx(words, proc);
-    msg.iter()
-        .map(|e| {
+    out.clear();
+    for e in msg {
+        out.push(
             e.eval(&ctx)
-                .map_err(|err| eval_err(program, ProcId(proc), label, err))
-        })
-        .collect()
+                .map_err(|err| eval_err(program, ProcId(proc), label, err))?,
+        );
+    }
+    Ok(())
 }
 
 fn pattern_matches(
@@ -572,12 +670,19 @@ fn buffered_recv_index(
     Ok(None)
 }
 
-/// Computes every enabled [`Step`] of `state`, in a deterministic order
-/// (process index, then transition index, then partner index).
-pub(crate) fn enabled_steps(program: &Program, state: &State) -> Result<Vec<Step>, KernelError> {
+/// Fills `steps` with every enabled [`Step`] of `state`, in a deterministic
+/// order: process index, then transition index, then partner process and
+/// transition. `message` is scratch for a rendezvous send's fields; both
+/// buffers are the caller's, so a search reuses them across states.
+pub(crate) fn enabled_steps_into(
+    program: &Program,
+    state: &State,
+    steps: &mut Vec<Step>,
+    message: &mut Vec<i32>,
+) -> Result<(), KernelError> {
     let layout = &program.layout;
     let words = &state.words[..];
-    let mut steps = Vec::new();
+    steps.clear();
     for (pi, def) in program.processes.iter().enumerate() {
         let loc = state.loc(layout, pi);
         for (ti, t) in def.outgoing[loc as usize].iter().enumerate() {
@@ -600,32 +705,28 @@ pub(crate) fn enabled_steps(program: &Program, state: &State) -> Result<Vec<Step
                         }
                     }
                     None => {
-                        // Rendezvous: find matching receivers in other
-                        // processes.
-                        let outgoing = eval_msg(program, words, pi, msg, &t.label)?;
-                        for (qi, qdef) in program.processes.iter().enumerate() {
+                        // Rendezvous: only the receive transitions the
+                        // partner index lists can match, and never the
+                        // sender's own.
+                        eval_msg_into(program, words, pi, msg, &t.label, message)?;
+                        let partners = &program.partners;
+                        for receiver in partners.receivers(*chan) {
+                            let qi = receiver.proc;
                             if qi == pi {
                                 continue;
                             }
                             let qloc = state.loc(layout, qi);
-                            for (ui, u) in qdef.outgoing[qloc as usize].iter().enumerate() {
-                                let Action::Recv {
-                                    chan: rchan,
-                                    pattern,
-                                    ..
-                                } = &u.action
-                                else {
-                                    continue;
+                            let outgoing = &program.processes[qi].outgoing[qloc as usize];
+                            for ui in partners.at(receiver, qloc) {
+                                let u = &outgoing[ui];
+                                let Action::Recv { pattern, .. } = &u.action else {
+                                    unreachable!("partner index lists a non-receive");
                                 };
-                                if rchan != chan {
-                                    continue;
-                                }
-                                if !guard_holds(program, words, qi, &u.guard, &u.label)? {
-                                    continue;
-                                }
-                                if pattern_matches(
-                                    program, words, qi, pattern, &outgoing, &u.label,
-                                )? {
+                                if guard_holds(program, words, qi, &u.guard, &u.label)?
+                                    && pattern_matches(
+                                        program, words, qi, pattern, message, &u.label,
+                                    )?
+                                {
                                     steps.push(Step {
                                         partner: Some((ProcId(qi), ui)),
                                         ..alone
@@ -655,6 +756,14 @@ pub(crate) fn enabled_steps(program: &Program, state: &State) -> Result<Vec<Step
             }
         }
     }
+    Ok(())
+}
+
+/// Every enabled [`Step`] of `state`, in the order of
+/// [`enabled_steps_into`], in a fresh `Vec`.
+pub(crate) fn enabled_steps(program: &Program, state: &State) -> Result<Vec<Step>, KernelError> {
+    let mut steps = Vec::new();
+    enabled_steps_into(program, state, &mut steps, &mut Vec::new())?;
     Ok(steps)
 }
 
@@ -726,6 +835,7 @@ pub(crate) fn apply_step_into(
     next.words.copy_from_slice(words);
     let out = &mut next.words[..];
     let mut assertion_failure = None;
+    let recording = events.is_some();
     // Builds the event (and its message copy) only when recording.
     let mut event = |label: &str, kind: &dyn Fn() -> EventKind| {
         if let Some(events) = events.as_deref_mut() {
@@ -761,17 +871,25 @@ pub(crate) fn apply_step_into(
             event(&t.label, &|| EventKind::Internal);
         }
         Action::Send { chan, msg } => {
-            let outgoing = eval_msg(program, words, pi, msg, &t.label)?;
-            let fields = &outgoing[..];
+            // Fields are evaluated on the pre-state straight to where they
+            // land, so a send allocates nothing unless it is recorded.
+            let ctx = layout.ctx(words, pi);
+            let field = |e: &Expr| {
+                e.eval(&ctx)
+                    .map_err(|err| eval_err(program, step.proc, &t.label, err))
+            };
             match step.partner {
                 None => {
                     let queue = layout
                         .queue(*chan)
                         .expect("buffered send on a buffered channel");
-                    queue.push(out, fields);
+                    let slot = queue.push_slot(out);
+                    for (word, e) in out[slot.clone()].iter_mut().zip(msg) {
+                        *word = field(e)?;
+                    }
                     event(&t.label, &|| EventKind::Send {
                         chan: *chan,
-                        msg: Msg::new(fields),
+                        msg: Msg::new(&out[slot.clone()]),
                     });
                 }
                 Some((receiver, ui)) => {
@@ -781,11 +899,18 @@ pub(crate) fn apply_step_into(
                     let Action::Recv { binds, .. } = &u.action else {
                         unreachable!("rendezvous partner is not a receive");
                     };
-                    apply_binds(program, out, qi, binds, fields, &u.label)?;
+                    for (f, lv) in binds {
+                        assign_lvalue(program, out, qi, lv, field(&msg[*f])?, &u.label)?;
+                    }
                     out[layout.loc(qi)] = u.target as i32;
+                    let fields = if recording {
+                        msg.iter().map(field).collect::<Result<Vec<_>, _>>()?
+                    } else {
+                        Vec::new()
+                    };
                     event(&t.label, &|| EventKind::Rendezvous {
                         chan: *chan,
-                        msg: Msg::new(fields),
+                        msg: Msg::new(&fields[..]),
                         receiver,
                     });
                 }
@@ -867,7 +992,8 @@ mod tests {
         let queue = program.layout.queue(chan).unwrap();
         let mut words = state.words.clone();
         for msg in msgs {
-            queue.push(&mut words, msg);
+            let slot = queue.push_slot(&mut words);
+            words[slot].copy_from_slice(msg);
         }
         State::from_words(words)
     }
@@ -942,6 +1068,116 @@ mod tests {
             applied.events[0].kind(),
             EventKind::Rendezvous { .. }
         ));
+    }
+
+    /// The partner index must keep the scan's order and filters: partners
+    /// in process order on both sides of the sender, two matching receives
+    /// at one location, only the current location's receives, never the
+    /// sender itself, and neither a false guard, another channel, nor an
+    /// `Eq` pattern that does not match.
+    #[test]
+    fn enabled_steps_keep_process_transition_partner_order() {
+        let mut prog = ProgramBuilder::new();
+        let off = prog.global("off", 0);
+        let ch = prog.channel("ch", 0, 1);
+        let other = prog.channel("other", 0, 1);
+
+        // Process 0: five receives at one location.
+        let mut low = ProcessBuilder::new("low");
+        let got = low.local("got", 0);
+        let a = low.location("a");
+        let bind = || vec![(0, got.into())];
+        low.transition(
+            a,
+            a,
+            Guard::always(),
+            Action::recv(ch, vec![FieldPat::Any], bind()),
+            "any",
+        );
+        low.transition(a, a, Guard::always(), Action::recv_any(other, 1), "other");
+        low.transition(
+            a,
+            a,
+            Guard::always(),
+            Action::recv(ch, vec![FieldPat::lit(7)], bind()),
+            "eq 7",
+        );
+        low.transition(
+            a,
+            a,
+            Guard::when(expr::eq(expr::global(off), 1.into())),
+            Action::recv(ch, vec![FieldPat::lit(5)], bind()),
+            "guarded eq 5",
+        );
+        low.transition(
+            a,
+            a,
+            Guard::always(),
+            Action::recv(ch, vec![FieldPat::lit(5)], bind()),
+            "eq 5",
+        );
+        prog.add_process(low).unwrap();
+
+        // Process 1 sends 5 on `ch` and receives on it at the same location.
+        let mut both = ProcessBuilder::new("both");
+        let s = both.location("s");
+        both.transition(
+            s,
+            s,
+            Guard::always(),
+            Action::send(ch, vec![5.into()]),
+            "send 5",
+        );
+        both.transition(s, s, Guard::always(), Action::recv_any(ch, 1), "self recv");
+        both.transition(s, s, Guard::always(), Action::Skip, "skip");
+        prog.add_process(both).unwrap();
+
+        // Process 2 receives at two locations; it starts at the second.
+        let mut high = ProcessBuilder::new("high");
+        let elsewhere = high.location("elsewhere");
+        let here = high.location("here");
+        high.set_initial(here);
+        for (at, label) in [(elsewhere, "recv elsewhere"), (here, "recv here")] {
+            high.transition(at, at, Guard::always(), Action::recv_any(ch, 1), label);
+        }
+        prog.add_process(high).unwrap();
+
+        // Process 3 sends 7 on `ch` and never receives.
+        let mut last = ProcessBuilder::new("last");
+        let t = last.location("t");
+        last.transition(
+            t,
+            t,
+            Guard::always(),
+            Action::send(ch, vec![7.into()]),
+            "send 7",
+        );
+        prog.add_process(last).unwrap();
+
+        let program = prog.build().unwrap();
+        let state = State::initial(&program);
+        let step = |proc, trans, partner: Option<(usize, usize)>| Step {
+            proc: ProcId(proc),
+            trans,
+            partner: partner.map(|(q, u)| (ProcId(q), u)),
+        };
+        let expected = vec![
+            step(1, 0, Some((0, 0))),
+            step(1, 0, Some((0, 4))),
+            step(1, 0, Some((2, 0))),
+            step(1, 2, None),
+            step(3, 0, Some((0, 0))),
+            step(3, 0, Some((0, 2))),
+            step(3, 0, Some((1, 1))),
+            step(3, 0, Some((2, 0))),
+        ];
+        assert_eq!(enabled_steps(&program, &state).unwrap(), expected);
+
+        // A reused buffer is cleared first, and gives the same steps.
+        let mut steps = vec![step(0, 9, None)];
+        let mut message = vec![1, 2, 3];
+        enabled_steps_into(&program, &state, &mut steps, &mut message).unwrap();
+        assert_eq!(steps, expected);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!
 //! The one buffered channel has capacity 2, so sends blocking on a full
 //! queue and receives taking the head of a partly filled one are covered.
+//! On the rendezvous channel a send fires only together with a matching
+//! receive of *another* process, both advance, and the receiver stores the
+//! value; a process whose receive has no partner can still bail out.
 
 mod common;
 
@@ -22,7 +25,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use common::{arb_move, build_program, Move, CHANNEL_CAPACITY};
+use common::{arb_move, build_program, Move, RvPat, CHANNEL_CAPACITY};
 use pnp_kernel::{
     expr, Checker, Predicate, Program, SafetyChecks, SafetyOutcome, SearchConfig, VisitedKind,
 };
@@ -91,6 +94,29 @@ fn successors(procs: &[Vec<Move>], s: &RefState) -> Vec<RefState> {
             Move::BumpLocal => {
                 next.counters[pi] = (next.counters[pi] + 1) % 4;
                 out.push(next);
+            }
+            Move::SendRv(v) => {
+                // One successor per other process whose current move is a
+                // receive that accepts `v`.
+                for (qi, theirs) in procs.iter().enumerate() {
+                    let accepts = match theirs.get(s.pcs[qi]) {
+                        Some(Move::RecvRv(RvPat::Any)) => true,
+                        Some(Move::RecvRv(RvPat::Eq(want))) => *want == v,
+                        _ => false,
+                    };
+                    if qi != pi && accepts {
+                        let mut met = next.clone();
+                        met.pcs[qi] += 1;
+                        met.counters[qi] = i32::from(v);
+                        out.push(met);
+                    }
+                }
+            }
+            Move::RecvRv(_) => {
+                // The receive itself fires only as a send's partner.
+                if s.g0 == 3 {
+                    out.push(next);
+                }
             }
         }
     }
@@ -211,11 +237,13 @@ proptest! {
     }
 }
 
-/// A fixed program that fills the capacity-2 queue, blocks a third send,
-/// and drains it out of order with another sender: the queue-encoding
-/// corner cases, independent of what the random cases happen to draw.
+/// Fixed programs that fill the capacity-2 queue, block a third send, and
+/// drain it out of order with another sender, and that pair rendezvous
+/// sends with their only, their non-matching and their own receivers: the
+/// channel corner cases, independent of what the random cases happen to
+/// draw.
 #[test]
-fn buffered_channel_corner_cases_agree() {
+fn channel_corner_cases_agree() {
     let cases = [
         vec![
             vec![Move::SendChan(1), Move::SendChan(2), Move::SendChan(0)],
@@ -230,6 +258,28 @@ fn buffered_channel_corner_cases_agree() {
         vec![
             vec![Move::RecvChan],
             vec![Move::BumpGlobal(0), Move::BumpLocal],
+        ],
+        // One sender, one receiver on the rendezvous channel.
+        vec![vec![Move::SendRv(1)], vec![Move::RecvRv(RvPat::Any)]],
+        // Two receivers, each matching only one of the sender's values.
+        vec![
+            vec![Move::SendRv(0), Move::SendRv(1)],
+            vec![Move::RecvRv(RvPat::Eq(1))],
+            vec![Move::RecvRv(RvPat::Eq(0)), Move::BumpGlobal(0)],
+        ],
+        // Each process sends and receives; neither is its own partner.
+        vec![
+            vec![Move::RecvRv(RvPat::Any), Move::SendRv(1)],
+            vec![Move::SendRv(0), Move::RecvRv(RvPat::Eq(1))],
+        ],
+        // No sender: the receiver finishes only by bailing out at g0 = 3.
+        vec![
+            vec![Move::RecvRv(RvPat::Eq(1))],
+            vec![
+                Move::BumpGlobal(0),
+                Move::BumpGlobal(0),
+                Move::BumpGlobal(0),
+            ],
         ],
     ];
     for procs in cases {

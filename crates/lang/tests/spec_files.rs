@@ -120,6 +120,26 @@ fn newswire_spec_holds_everywhere() {
     }
 }
 
+/// A checkpoint is resumed only against a program with the fingerprint it
+/// recorded, so a change to what the fingerprint hashes refuses every
+/// checkpoint written by an earlier build. These are the values since
+/// checkpoint format v4; indexes the kernel derives from a program (its
+/// state layout aside) must stay out of them.
+#[test]
+fn program_fingerprints_are_stable_across_builds() {
+    for (name, text, pinned) in [
+        ("wire.pnp", WIRE, 0x7490_f34c_367f_a9bd_u64),
+        ("bridge_fixed.pnp", BRIDGE_FIXED, 0xfb1b_ab41_42a0_676e),
+    ] {
+        let spec = compile(text).unwrap();
+        let fingerprint = pnp_kernel::program_fingerprint(spec.system().program());
+        assert_eq!(
+            fingerprint, pinned,
+            "{name}: fingerprint {fingerprint:#018x}, pinned {pinned:#018x}"
+        );
+    }
+}
+
 /// Lexer/parser robustness: no input may panic the front end.
 #[test]
 fn parser_never_panics_on_garbage() {
