@@ -70,6 +70,7 @@
 //! ```
 
 #![warn(missing_docs)]
+mod arena;
 mod dot;
 mod durable;
 mod explore;

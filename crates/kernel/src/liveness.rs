@@ -10,16 +10,24 @@
 //! Terminating runs are handled with the usual stutter extension: a state
 //! with no enabled steps gets an implicit self-loop, so e.g. `<> p` is
 //! correctly reported violated by a system that halts before `p`.
+//!
+//! The sequential search keeps its system states in a
+//! [`StateArena`] and everything it learns about them in flat arrays
+//! indexed by state id, expanding each system state once; product nodes
+//! are exact integer keys with one flag byte each, and a found lasso is
+//! read off the two DFS stacks (DESIGN.md §4).
 
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
 
 use pnp_ltl::{translate, Buchi, Ltl};
 
+use crate::arena::{Interned, StateArena, MAX_ROWS};
 use crate::explore::{CancelToken, Checker, Predicate, SearchStats};
+use crate::program::ProcId;
+use crate::reduction::{ample_subset, LocalLocations};
 use crate::state::{
-    apply_step, apply_step_into, enabled_steps, KernelError, State, StateHasher, StateView, Step,
+    apply_step, apply_step_into, enabled_steps_into, KernelError, State, StateView, Step,
 };
 use crate::trace::{Trace, TraceEvent};
 
@@ -127,34 +135,6 @@ pub(crate) fn compile_buchi(
     Ok(compiled)
 }
 
-/// State of the on-the-fly product exploration.
-struct ProductGraph<'p> {
-    checker: &'p Checker<'p>,
-    props: &'p [Proposition],
-    buchi: Vec<Vec<CompiledTransition>>,
-    accepting: Vec<bool>,
-
-    /// Interned system states.
-    sys_index: HashMap<Rc<State>, usize, StateHasher>,
-    sys_states: Vec<Rc<State>>,
-    /// Cached successor lists; `None` until computed. An empty list means
-    /// the state is terminal (stutter applies).
-    sys_succ: Vec<Option<SuccList>>,
-    /// Cached proposition valuations per system state.
-    labels: Vec<Option<Rc<Vec<bool>>>>,
-    /// Cached per-state "process has an enabled step (as actor or
-    /// rendezvous partner)" bitsets, used by the fairness counters.
-    enabled_procs: Vec<Option<Rc<Vec<bool>>>>,
-
-    fairness: Fairness,
-    n_procs: usize,
-    /// Partial-order reduction table, when applicable (no fairness, no
-    /// native propositions).
-    reduction: Option<crate::reduction::LocalLocations>,
-    truncated: bool,
-    edges_explored: usize,
-}
-
 /// Scheduling fairness applied during the acceptance-cycle search.
 ///
 /// The PnP building-block models poll (e.g. a blocking receive port retries
@@ -175,9 +155,6 @@ pub enum Fairness {
     Weak,
 }
 
-/// A cached system-successor list: `(step, successor system id)` pairs.
-type SuccList = Rc<Vec<(Step, usize)>>;
-
 /// A product node: (system state id, automaton state, fairness counter).
 ///
 /// The counter ranges over `0..=N+1` (`N` = process count): `0` = waiting
@@ -190,25 +167,30 @@ pub(crate) type Edge = Option<Step>;
 
 /// A recycling arena for product-successor buffers.
 ///
-/// Every DFS frame needs a `Vec<(Edge, Node)>` of product successors, and
-/// both nested-DFS loops push and pop frames millions of times on large
+/// Every DFS frame needs a buffer of product successors, and both
+/// nested-DFS loops push and pop frames millions of times on large
 /// products — a fresh heap allocation per frame is the hottest allocation
 /// site of the liveness checker. The pool hands popped frames' buffers
 /// back to new frames (capacity retained, contents cleared), so a search
 /// settles into zero successor-buffer allocations once its maximum DFS
 /// depth has been reached. Used by the sequential checker and by each
 /// CNDFS worker (one pool per worker; buffers never cross threads).
-#[derive(Default)]
-pub(crate) struct SuccPool {
-    free: Vec<Vec<(Edge, Node)>>,
+pub(crate) struct SuccPool<T> {
+    free: Vec<Vec<T>>,
 }
 
-impl SuccPool {
-    pub(crate) fn take(&mut self) -> Vec<(Edge, Node)> {
+impl<T> Default for SuccPool<T> {
+    fn default() -> SuccPool<T> {
+        SuccPool { free: Vec::new() }
+    }
+}
+
+impl<T> SuccPool<T> {
+    pub(crate) fn take(&mut self) -> Vec<T> {
         self.free.pop().unwrap_or_default()
     }
 
-    pub(crate) fn give(&mut self, mut buf: Vec<(Edge, Node)>) {
+    pub(crate) fn give(&mut self, mut buf: Vec<T>) {
         buf.clear();
         self.free.push(buf);
     }
@@ -227,157 +209,367 @@ pub(crate) fn moved_procs(step: &Step, buf: &mut [usize; 2]) -> usize {
     }
 }
 
-impl<'p> ProductGraph<'p> {
-    /// The id of `state`, interning a copy of it when it is new.
-    fn intern_sys(&mut self, state: &State) -> Option<usize> {
-        if let Some(&id) = self.sys_index.get(state) {
-            return Some(id);
+/// Sets `enabled[p]` exactly for the processes with a step in `steps`,
+/// as actor or as rendezvous partner. `steps` must be a state's full step
+/// list, taken before any partial-order reduction.
+pub(crate) fn mark_enabled(steps: &[Step], enabled: &mut [bool]) {
+    enabled.fill(false);
+    for step in steps {
+        enabled[step.proc.index()] = true;
+        if let Some((partner, _)) = step.partner {
+            enabled[partner.index()] = true;
         }
-        // Cancellation shares the truncation path: the product search
-        // stops interning new system states and winds down over the
-        // already-explored portion, reporting a truncated (inconclusive)
-        // result instead of a proof — the same graceful degradation a
-        // tripped state budget gets.
-        if self.sys_states.len() >= self.checker.config.max_states
-            || self
-                .checker
-                .cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
-        {
-            self.truncated = true;
-            return None;
+    }
+}
+
+/// Advances the weak-fairness counter `k` across an edge out of a system
+/// state whose processes with an enabled step are marked in `enabled`.
+///
+/// `source_accepting` is whether the automaton state being left is
+/// accepting; `moved` lists the processes executed by the edge (empty
+/// for stutter). Both nested-DFS engines advance the counter here, so
+/// they explore the same product graph.
+pub(crate) fn next_counter(
+    k: u32,
+    source_accepting: bool,
+    enabled: &[bool],
+    moved: &[usize],
+) -> u32 {
+    let n = enabled.len() as u32;
+    let mut k2 = if k == n + 1 { 0 } else { k };
+    if k2 == 0 && source_accepting {
+        k2 = 1;
+    }
+    while k2 >= 1 && k2 <= n {
+        let p = (k2 - 1) as usize;
+        if moved.contains(&p) || !enabled[p] {
+            k2 += 1;
+        } else {
+            break;
         }
-        let id = self.sys_states.len();
-        let rc = Rc::new(state.clone());
-        self.sys_index.insert(Rc::clone(&rc), id);
-        self.sys_states.push(rc);
-        self.sys_succ.push(None);
-        self.labels.push(None);
-        self.enabled_procs.push(None);
-        Some(id)
+    }
+    k2
+}
+
+/// [`SysStore::succ`] of a state whose successors are not computed yet.
+const UNEXPANDED: (usize, usize) = (usize::MAX, 0);
+
+/// The edge reference of a stutter step (no system step is taken).
+const STUTTER: usize = usize::MAX;
+
+/// A [`Step`] as the edge array keeps it: 16 bytes instead of 40.
+#[derive(Clone, Copy)]
+struct PackedStep {
+    proc: u32,
+    trans: u32,
+    /// The rendezvous partner's process, or `u32::MAX` for none.
+    partner: u32,
+    partner_trans: u32,
+}
+
+impl PackedStep {
+    fn pack(step: Step) -> PackedStep {
+        let narrow = |v: usize| u32::try_from(v).expect("process and transition indices fit u32");
+        let (partner, partner_trans) = match step.partner {
+            Some((q, u)) => (narrow(q.index()), narrow(u)),
+            None => (u32::MAX, 0),
+        };
+        PackedStep {
+            proc: narrow(step.proc.index()),
+            trans: narrow(step.trans),
+            partner,
+            partner_trans,
+        }
     }
 
-    fn enabled_procs_of(&mut self, sys_id: usize) -> Result<Rc<Vec<bool>>, KernelError> {
-        if let Some(cached) = &self.enabled_procs[sys_id] {
-            return Ok(Rc::clone(cached));
+    fn unpack(self) -> Step {
+        Step {
+            proc: ProcId(self.proc as usize),
+            trans: self.trans as usize,
+            partner: (self.partner != u32::MAX)
+                .then_some((ProcId(self.partner as usize), self.partner_trans as usize)),
         }
-        let state = Rc::clone(&self.sys_states[sys_id]);
-        let mut enabled = vec![false; self.n_procs];
-        for step in enabled_steps(self.checker.program, &state)? {
-            enabled[step.proc.index()] = true;
-            if let Some((partner, _)) = step.partner {
-                enabled[partner.index()] = true;
+    }
+}
+
+/// The system side of the product: the interned states, and what the
+/// search caches about each, in flat arrays indexed by the state's id.
+struct SysStore {
+    arena: StateArena,
+    /// Per state, its successors as `edges[start..end]`, or
+    /// [`UNEXPANDED`]. An empty range means the state is terminal
+    /// (stutter applies).
+    succ: Vec<(usize, usize)>,
+    /// System edges: the step taken and the successor's id.
+    edges: Vec<(PackedStep, u32)>,
+    /// Per state, the values of the `n_props` propositions, valid once
+    /// `labeled`.
+    labels: Vec<bool>,
+    labeled: Vec<bool>,
+    n_props: usize,
+    /// Per state, for each of `n_enabled` processes whether it has an
+    /// enabled step (as actor or rendezvous partner), written when the
+    /// state is expanded. The fairness counters read it; without
+    /// fairness `n_enabled` is 0.
+    enabled: Vec<bool>,
+    n_enabled: usize,
+}
+
+impl SysStore {
+    /// The id of `state`, interning it (if `admit` allows) when it is new.
+    fn intern(&mut self, state: &State, admit: impl FnOnce(usize) -> bool) -> Option<u32> {
+        match self.arena.intern(state, admit) {
+            Interned::Old(id) => Some(id),
+            Interned::New(id) => {
+                self.succ.push(UNEXPANDED);
+                self.labels.resize(self.labels.len() + self.n_props, false);
+                self.labeled.push(false);
+                self.enabled
+                    .resize(self.enabled.len() + self.n_enabled, false);
+                Some(id)
             }
+            Interned::Refused => None,
         }
-        let rc = Rc::new(enabled);
-        self.enabled_procs[sys_id] = Some(Rc::clone(&rc));
-        Ok(rc)
     }
 
-    /// Advances the weak-fairness counter across an edge out of `(sys, k)`.
-    ///
-    /// `source_accepting` is whether the automaton state being left is
-    /// accepting; `moved` lists the processes executed by the edge (empty
-    /// for stutter).
-    fn next_counter(
-        &mut self,
-        sys: usize,
-        k: u32,
-        source_accepting: bool,
-        moved: &[usize],
-    ) -> Result<u32, KernelError> {
-        if self.fairness == Fairness::None {
-            return Ok(0);
+    fn labels(&self, sys: u32) -> &[bool] {
+        let at = sys as usize * self.n_props;
+        &self.labels[at..at + self.n_props]
+    }
+
+    fn enabled(&self, sys: u32) -> &[bool] {
+        let at = sys as usize * self.n_enabled;
+        &self.enabled[at..at + self.n_enabled]
+    }
+}
+
+/// Node flag: on the outer DFS stack.
+const GRAY: u8 = 1;
+/// Node flag: the outer DFS has finished the node.
+const BLACK: u8 = 2;
+/// Node flag: visited by an inner DFS.
+const INNER: u8 = 4;
+
+/// A [`NodeFlags`] slot holding no key; no product key reaches it (see
+/// `check_ltl_sequential`'s `limit`).
+const NO_KEY: u64 = u64::MAX;
+
+/// One flag byte per product node, in an open-addressed (linear probing)
+/// table keyed by the node's exact integer key, kept at most half full.
+/// The keys are dense small integers, so a multiply by `2^64 / φ` and the
+/// top bits of the product spread them well enough.
+struct NodeFlags {
+    keys: Vec<u64>,
+    flags: Vec<u8>,
+    len: usize,
+    /// `64 - log2(table size)`.
+    shift: u32,
+}
+
+impl NodeFlags {
+    fn new() -> NodeFlags {
+        const BITS: u32 = 10;
+        NodeFlags {
+            keys: vec![NO_KEY; 1 << BITS],
+            flags: vec![0; 1 << BITS],
+            len: 0,
+            shift: 64 - BITS,
         }
-        let n = self.n_procs as u32;
-        let enabled = self.enabled_procs_of(sys)?;
-        let mut k2 = if k == n + 1 { 0 } else { k };
-        if k2 == 0 && source_accepting {
-            k2 = 1;
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The flags of node `key`, added with none set when it is absent.
+    fn get_mut(&mut self, key: u64) -> &mut u8 {
+        if self.len * 2 >= self.keys.len() {
+            self.grow();
         }
-        while k2 >= 1 && k2 <= n {
-            let p = (k2 - 1) as usize;
-            if moved.contains(&p) || !enabled[p] {
-                k2 += 1;
-            } else {
+        let mask = self.keys.len() - 1;
+        let mut slot = self.home(key);
+        while self.keys[slot] != key {
+            if self.keys[slot] == NO_KEY {
+                self.keys[slot] = key;
+                self.len += 1;
                 break;
             }
+            slot = (slot + 1) & mask;
         }
-        Ok(k2)
+        &mut self.flags[slot]
     }
 
-    fn labels_of(&mut self, sys_id: usize) -> Result<Rc<Vec<bool>>, KernelError> {
-        if let Some(cached) = &self.labels[sys_id] {
-            return Ok(Rc::clone(cached));
+    fn grow(&mut self) {
+        let size = self.keys.len() * 2;
+        let keys = std::mem::replace(&mut self.keys, vec![NO_KEY; size]);
+        let flags = std::mem::replace(&mut self.flags, vec![0; size]);
+        self.shift -= 1;
+        for (key, flag) in keys.into_iter().zip(flags) {
+            if key == NO_KEY {
+                continue;
+            }
+            let mut slot = self.home(key);
+            while self.keys[slot] != NO_KEY {
+                slot = (slot + 1) & (size - 1);
+            }
+            self.keys[slot] = key;
+            self.flags[slot] = flag;
         }
-        let state = Rc::clone(&self.sys_states[sys_id]);
-        let view = StateView::new(self.checker.program, &state);
-        let values = self
-            .props
-            .iter()
-            .map(|p| p.predicate.eval(&view))
-            .collect::<Result<Vec<bool>, _>>()?;
-        let rc = Rc::new(values);
-        self.labels[sys_id] = Some(Rc::clone(&rc));
-        Ok(rc)
+    }
+}
+
+/// A product successor in a DFS buffer: the system edge taken (an index
+/// into [`SysStore::edges`], or [`STUTTER`]) and the target node's key.
+type Succ = (usize, u64);
+
+/// State of the on-the-fly product exploration.
+///
+/// A product node `(sys, b, k)` is named by the exact integer key
+/// `(sys · n_buchi + b) · n_counters + k`.
+struct ProductGraph<'p> {
+    checker: &'p Checker<'p>,
+    props: &'p [Proposition],
+    buchi: Vec<Vec<CompiledTransition>>,
+    accepting: Vec<bool>,
+    fairness: Fairness,
+    n_procs: usize,
+    /// Partial-order reduction table, when applicable (no fairness, no
+    /// native propositions).
+    reduction: Option<LocalLocations>,
+    sys: SysStore,
+    /// Interning stops, truncating the search, at this many system states.
+    limit: usize,
+    n_buchi: u64,
+    /// Counter values per node: `N + 2` under weak fairness, else 1.
+    n_counters: u64,
+    /// Scratch reused by every expansion: the state expanded or labeled,
+    /// a successor, the step list and a rendezvous message.
+    current: State,
+    next: State,
+    steps: Vec<Step>,
+    message: Vec<i32>,
+    truncated: bool,
+    edges_explored: usize,
+}
+
+impl ProductGraph<'_> {
+    fn key(&self, sys: u32, b: usize, k: u32) -> u64 {
+        (u64::from(sys) * self.n_buchi + b as u64) * self.n_counters + u64::from(k)
     }
 
-    fn sys_successors(&mut self, sys_id: usize) -> Result<SuccList, KernelError> {
-        if let Some(cached) = &self.sys_succ[sys_id] {
-            return Ok(Rc::clone(cached));
+    /// `(sys, b, k)` of a product key.
+    fn node(&self, key: u64) -> (u32, usize, u32) {
+        let k = (key % self.n_counters) as u32;
+        let rest = key / self.n_counters;
+        (
+            (rest / self.n_buchi) as u32,
+            (rest % self.n_buchi) as usize,
+            k,
+        )
+    }
+
+    /// The successors of system state `sys`, as a range of
+    /// [`SysStore::edges`]. The first call enumerates the state's steps
+    /// once, records its enabled processes from the full step list, and
+    /// interns each successor; later calls return the cached range.
+    fn sys_successors(&mut self, sys: u32) -> Result<(usize, usize), KernelError> {
+        let cached = self.sys.succ[sys as usize];
+        if cached != UNEXPANDED {
+            return Ok(cached);
         }
-        let state = Rc::clone(&self.sys_states[sys_id]);
-        let mut steps = enabled_steps(self.checker.program, &state)?;
+        let (checker, limit) = (self.checker, self.limit);
+        let program = checker.program;
+        self.sys.arena.load(sys, &mut self.current);
+        enabled_steps_into(program, &self.current, &mut self.steps, &mut self.message)?;
+        if self.fairness == Fairness::Weak {
+            let at = sys as usize * self.n_procs;
+            mark_enabled(&self.steps, &mut self.sys.enabled[at..at + self.n_procs]);
+        }
         if let Some(analysis) = &self.reduction {
-            crate::reduction::ample_subset(analysis, self.checker.program, &state, &mut steps);
+            ample_subset(analysis, program, &self.current, &mut self.steps);
         }
-        let mut successors = Vec::with_capacity(steps.len());
-        let mut scratch = (*state).clone();
-        for step in steps {
-            apply_step_into(self.checker.program, &state, step, &mut scratch, None)?;
-            if let Some(next_id) = self.intern_sys(&scratch) {
-                successors.push((step, next_id));
+        let start = self.sys.edges.len();
+        for &step in &self.steps {
+            apply_step_into(program, &self.current, step, &mut self.next, None)?;
+            // Cancellation shares the truncation path: the product search
+            // stops interning new system states and winds down over the
+            // already-explored portion, reporting a truncated
+            // (inconclusive) result instead of a proof — the same graceful
+            // degradation a tripped state budget gets.
+            let admit = |held: usize| {
+                held < limit
+                    && !checker
+                        .cancel
+                        .as_ref()
+                        .is_some_and(CancelToken::is_cancelled)
+            };
+            match self.sys.intern(&self.next, admit) {
+                Some(id) => self.sys.edges.push((PackedStep::pack(step), id)),
+                None => self.truncated = true,
             }
         }
-        let rc = Rc::new(successors);
-        self.sys_succ[sys_id] = Some(Rc::clone(&rc));
-        Ok(rc)
+        let range = (start, self.sys.edges.len());
+        self.sys.succ[sys as usize] = range;
+        Ok(range)
+    }
+
+    /// Evaluates the propositions on system state `sys`, once.
+    fn label(&mut self, sys: u32) -> Result<(), KernelError> {
+        if self.sys.labeled[sys as usize] {
+            return Ok(());
+        }
+        self.sys.arena.load(sys, &mut self.current);
+        let view = StateView::new(self.checker.program, &self.current);
+        let at = sys as usize * self.sys.n_props;
+        let values = &mut self.sys.labels[at..at + self.sys.n_props];
+        for (value, prop) in values.iter_mut().zip(self.props) {
+            *value = prop.predicate.eval(&view)?;
+        }
+        self.sys.labeled[sys as usize] = true;
+        Ok(())
+    }
+
+    /// The fairness counter after an edge out of `(sys, _, k)`.
+    fn counter(&self, sys: u32, k: u32, source_accepting: bool, moved: &[usize]) -> u32 {
+        match self.fairness {
+            Fairness::None => 0,
+            Fairness::Weak => next_counter(k, source_accepting, self.sys.enabled(sys), moved),
+        }
+    }
+
+    /// Appends `(edge, (sys, t.target, k))` for every automaton transition
+    /// `t` out of `b` that the (already evaluated) labels of `sys` enable.
+    fn push_enabled(&self, b: usize, sys: u32, k: u32, edge: usize, out: &mut Vec<Succ>) {
+        let labels = self.sys.labels(sys);
+        for t in &self.buchi[b] {
+            if t.literals.iter().all(|&(i, pos)| labels[i] == pos) {
+                out.push((edge, self.key(sys, t.target, k)));
+            }
+        }
     }
 
     /// Product successors of a node, with the edge that reaches each,
     /// appended into a (pooled) buffer.
-    fn successors_into(
-        &mut self,
-        (sys, b, k): Node,
-        out: &mut Vec<(Edge, Node)>,
-    ) -> Result<(), KernelError> {
+    fn successors_into(&mut self, key: u64, out: &mut Vec<Succ>) -> Result<(), KernelError> {
         debug_assert!(out.is_empty());
+        let (sys, b, k) = self.node(key);
         let source_accepting = self.accepting[b];
-        let sys_succ = self.sys_successors(sys)?;
-        if sys_succ.is_empty() {
+        let (start, end) = self.sys_successors(sys)?;
+        if start == end {
             // Stutter extension: self-loop on the terminal system state.
             // No process moves, but none is enabled either, so the fairness
             // counters pass straight through.
-            let k2 = self.next_counter(sys, k, source_accepting, &[])?;
-            let labels = self.labels_of(sys)?;
-            for t in &self.buchi[b] {
-                if t.literals.iter().all(|&(i, pos)| labels[i] == pos) {
-                    out.push((None, (sys, t.target, k2)));
-                }
-            }
+            let k2 = self.counter(sys, k, source_accepting, &[]);
+            self.label(sys)?;
+            self.push_enabled(b, sys, k2, STUTTER, out);
         } else {
             let mut moved = [0usize; 2];
-            for i in 0..sys_succ.len() {
-                let (step, next_sys) = sys_succ[i];
-                let n_moved = moved_procs(&step, &mut moved);
-                let k2 = self.next_counter(sys, k, source_accepting, &moved[..n_moved])?;
-                let labels = self.labels_of(next_sys)?;
-                for t in &self.buchi[b] {
-                    if t.literals.iter().all(|&(i, pos)| labels[i] == pos) {
-                        out.push((Some(step), (next_sys, t.target, k2)));
-                    }
-                }
+            for edge in start..end {
+                let (step, next_sys) = self.sys.edges[edge];
+                let n_moved = moved_procs(&step.unpack(), &mut moved);
+                let k2 = self.counter(sys, k, source_accepting, &moved[..n_moved]);
+                self.label(next_sys)?;
+                self.push_enabled(b, next_sys, k2, edge, out);
             }
         }
         self.edges_explored += out.len();
@@ -385,28 +577,53 @@ impl<'p> ProductGraph<'p> {
     }
 
     /// Whether a product node is accepting under the configured fairness.
-    fn node_accepting(&self, (_, b, k): Node) -> bool {
+    fn node_accepting(&self, key: u64) -> bool {
+        let (_, b, k) = self.node(key);
         match self.fairness {
             Fairness::None => self.accepting[b],
             Fairness::Weak => k == self.n_procs as u32 + 1,
         }
     }
 
-    fn edge_events(&self, source_sys: usize, edge: Edge) -> Result<Vec<TraceEvent>, KernelError> {
-        match edge {
-            None => Ok(vec![TraceEvent::stutter()]),
-            Some(step) => {
-                let applied = apply_step(self.checker.program, &self.sys_states[source_sys], step)?;
-                Ok(applied.events)
-            }
+    /// The trace events of the edges between consecutive frames of a DFS
+    /// stack, appended to `events`.
+    fn stack_events(
+        &self,
+        frames: &[Frame],
+        events: &mut Vec<TraceEvent>,
+    ) -> Result<(), KernelError> {
+        for pair in frames.windows(2) {
+            self.edge_events(pair[0].key, pair[1].edge_in, events)?;
         }
+        Ok(())
+    }
+
+    /// The trace events of product edge `edge` out of node `source`.
+    fn edge_events(
+        &self,
+        source: u64,
+        edge: usize,
+        events: &mut Vec<TraceEvent>,
+    ) -> Result<(), KernelError> {
+        if edge == STUTTER {
+            events.push(TraceEvent::stutter());
+            return Ok(());
+        }
+        let state = State::from_words(self.sys.arena.row(self.node(source).0).into());
+        let step = self.sys.edges[edge].0.unpack();
+        let applied = apply_step(self.checker.program, &state, step)?;
+        events.extend(applied.events);
+        Ok(())
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Color {
-    Gray,
-    Black,
+/// One nested-DFS frame: a product node, the edge it was entered by (out
+/// of the node of the frame below), and its pooled successor buffer.
+struct Frame {
+    key: u64,
+    edge_in: usize,
+    succs: Vec<Succ>,
+    next: usize,
 }
 
 impl Checker<'_> {
@@ -477,217 +694,215 @@ pub(crate) fn check_ltl_sequential(
     props: &[Proposition],
     fairness: Fairness,
 ) -> Result<LtlReport, KernelError> {
-    {
-        let start = Instant::now();
-        let buchi = translate(&formula.negated());
-        let compiled = compile_buchi(&buchi, props)?;
-        let accepting = (0..buchi.state_count())
-            .map(|s| buchi.is_accepting(s))
-            .collect::<Vec<_>>();
+    let start = Instant::now();
+    let program = checker.program;
+    let buchi = translate(&formula.negated());
+    let compiled = compile_buchi(&buchi, props)?;
+    let accepting = (0..buchi.state_count())
+        .map(|s| buchi.is_accepting(s))
+        .collect::<Vec<_>>();
+    let n_procs = program.processes().len();
+    let n_buchi = buchi.state_count().max(1) as u64;
+    let n_counters = match fairness {
+        Fairness::None => 1,
+        Fairness::Weak => n_procs as u64 + 2,
+    };
+    // Every product key stays below `NO_KEY`: at most `limit` system
+    // states, `n_buchi · n_counters` nodes each.
+    let key_room = u64::MAX / n_buchi.saturating_mul(n_counters);
+    let limit = checker
+        .config
+        .max_states
+        .min(MAX_ROWS)
+        .min(usize::try_from(key_room).unwrap_or(usize::MAX));
 
-        let mut graph = ProductGraph {
-            checker,
-            props,
-            buchi: compiled,
-            accepting,
-            sys_index: HashMap::default(),
-            sys_states: Vec::new(),
-            sys_succ: Vec::new(),
+    let mut graph = ProductGraph {
+        checker,
+        props,
+        buchi: compiled,
+        accepting,
+        fairness,
+        n_procs,
+        reduction: (checker.config.partial_order_reduction
+            && fairness == Fairness::None
+            && props.iter().all(|p| p.predicate.is_expr_only()))
+        .then(|| LocalLocations::analyze(program)),
+        sys: SysStore {
+            arena: StateArena::new(program.layout.words()),
+            succ: Vec::new(),
+            edges: Vec::new(),
             labels: Vec::new(),
-            enabled_procs: Vec::new(),
-            fairness,
-            n_procs: checker.program.processes().len(),
-            reduction: (checker.config.partial_order_reduction
-                && fairness == Fairness::None
-                && props.iter().all(|p| p.predicate.is_expr_only()))
-            .then(|| crate::reduction::LocalLocations::analyze(checker.program)),
-            truncated: false,
-            edges_explored: 0,
-        };
+            labeled: Vec::new(),
+            n_props: props.len(),
+            enabled: Vec::new(),
+            n_enabled: if fairness == Fairness::Weak {
+                n_procs
+            } else {
+                0
+            },
+        },
+        limit,
+        n_buchi,
+        n_counters,
+        current: State::initial(program),
+        next: State::initial(program),
+        steps: Vec::new(),
+        message: Vec::new(),
+        truncated: false,
+        edges_explored: 0,
+    };
 
-        let initial_sys = graph
-            .intern_sys(&State::initial(checker.program))
-            .expect("max_states must be at least 1");
+    // The initial state is interned whatever the budget or cancellation
+    // say: the search needs a root, and the truncation they cause shows
+    // from its first successor on.
+    let initial = graph
+        .sys
+        .intern(&State::initial(program), |_| true)
+        .expect("an empty arena admits the initial state");
 
-        // Initial product nodes: automaton transitions out of state 0 that
-        // read the initial system state's labels.
-        let labels0 = graph.labels_of(initial_sys)?;
-        let mut roots = Vec::new();
-        for t in &graph.buchi[buchi.initial()] {
-            if t.literals.iter().all(|&(i, pos)| labels0[i] == pos) {
-                roots.push((initial_sys, t.target, 0));
-            }
+    // Initial product nodes: automaton transitions out of state 0 that
+    // read the initial system state's labels.
+    graph.label(initial)?;
+    let mut roots = Vec::new();
+    graph.push_enabled(buchi.initial(), initial, 0, STUTTER, &mut roots);
+
+    // Nested DFS (CVWY). Gray = on the outer stack; seeds run the inner
+    // search in postorder. Both stacks outlive the loop: an accepting
+    // cycle is read off them.
+    let mut flags = NodeFlags::new();
+    let mut colored = 0usize;
+    let mut pool = SuccPool::default();
+    let mut outer: Vec<Frame> = Vec::new();
+    let mut inner: Vec<Frame> = Vec::new();
+    // The gray node an inner search reached, and the edge it took there.
+    let mut hit: Option<(u64, usize)> = None;
+
+    'roots: for (_, root) in roots {
+        let f = flags.get_mut(root);
+        if *f & (GRAY | BLACK) != 0 {
+            continue;
         }
+        *f |= GRAY;
+        colored += 1;
+        let mut succs = pool.take();
+        graph.successors_into(root, &mut succs)?;
+        outer.push(Frame {
+            key: root,
+            edge_in: STUTTER,
+            succs,
+            next: 0,
+        });
 
-        // Nested DFS (CVWY). Gray = on the outer stack; seeds run the inner
-        // search in postorder.
-        let mut color: HashMap<Node, Color> = HashMap::new();
-        let mut parent1: HashMap<Node, (Node, Edge)> = HashMap::new();
-        let mut visited2: HashMap<Node, ()> = HashMap::new();
-        let mut parent2: HashMap<Node, (Node, Edge)> = HashMap::new();
-        let mut pool = SuccPool::default();
-
-        struct Frame {
-            node: Node,
-            succs: Vec<(Edge, Node)>,
-            next: usize,
-        }
-
-        let mut found: Option<(Node, Node)> = None; // (seed, gray hit)
-
-        'roots: for root in roots {
-            if color.contains_key(&root) {
+        while let Some(frame) = outer.last_mut() {
+            if frame.next < frame.succs.len() {
+                let (edge, target) = frame.succs[frame.next];
+                frame.next += 1;
+                let f = flags.get_mut(target);
+                if *f & (GRAY | BLACK) == 0 {
+                    *f |= GRAY;
+                    colored += 1;
+                    let mut succs = pool.take();
+                    graph.successors_into(target, &mut succs)?;
+                    outer.push(Frame {
+                        key: target,
+                        edge_in: edge,
+                        succs,
+                        next: 0,
+                    });
+                }
                 continue;
             }
-            color.insert(root, Color::Gray);
-            let mut root_succs = pool.take();
-            graph.successors_into(root, &mut root_succs)?;
-            let mut stack: Vec<Frame> = vec![Frame {
-                node: root,
-                succs: root_succs,
-                next: 0,
-            }];
 
-            while let Some(frame) = stack.last_mut() {
-                if frame.next < frame.succs.len() {
-                    let (edge, target) = frame.succs[frame.next];
-                    frame.next += 1;
-                    let source = frame.node;
-                    if let std::collections::hash_map::Entry::Vacant(e) = color.entry(target) {
-                        e.insert(Color::Gray);
-                        parent1.insert(target, (source, edge));
-                        let mut succs = pool.take();
-                        graph.successors_into(target, &mut succs)?;
-                        stack.push(Frame {
-                            node: target,
-                            succs,
-                            next: 0,
-                        });
-                    }
-                    continue;
-                }
-
-                // Postorder: inner search from accepting nodes.
-                let seed = frame.node;
-                if graph.node_accepting(seed) {
-                    let mut seed_succs = pool.take();
-                    graph.successors_into(seed, &mut seed_succs)?;
-                    #[allow(clippy::type_complexity)] // explicit DFS frame
-                    let mut inner: Vec<(Node, Vec<(Edge, Node)>, usize)> =
-                        vec![(seed, seed_succs, 0)];
-                    visited2.insert(seed, ());
-                    while let Some(entry) = inner.last_mut() {
-                        if entry.2 < entry.1.len() {
-                            let (edge, target) = entry.1[entry.2];
-                            entry.2 += 1;
-                            let source = entry.0;
-                            if color.get(&target) == Some(&Color::Gray) {
-                                // Target is on the outer stack: accepting
-                                // cycle seed -> ... -> target -> ... -> seed.
-                                parent2.insert(target, (source, edge));
-                                found = Some((seed, target));
-                                break 'roots;
-                            }
-                            if let std::collections::hash_map::Entry::Vacant(e) =
-                                visited2.entry(target)
-                            {
-                                e.insert(());
-                                parent2.insert(target, (source, edge));
-                                let mut succs = pool.take();
-                                graph.successors_into(target, &mut succs)?;
-                                inner.push((target, succs, 0));
-                            }
-                            continue;
+            // Postorder: inner search from accepting nodes.
+            let seed = frame.key;
+            if graph.node_accepting(seed) {
+                *flags.get_mut(seed) |= INNER;
+                let mut succs = pool.take();
+                graph.successors_into(seed, &mut succs)?;
+                inner.push(Frame {
+                    key: seed,
+                    edge_in: STUTTER,
+                    succs,
+                    next: 0,
+                });
+                while let Some(top) = inner.last_mut() {
+                    if top.next < top.succs.len() {
+                        let (edge, target) = top.succs[top.next];
+                        top.next += 1;
+                        let f = flags.get_mut(target);
+                        if *f & GRAY != 0 {
+                            // Target is on the outer stack: accepting
+                            // cycle seed -> ... -> target -> ... -> seed.
+                            hit = Some((target, edge));
+                            break 'roots;
                         }
-                        let (_, succs, _) = inner.pop().expect("inner frame present");
-                        pool.give(succs);
+                        if *f & INNER == 0 {
+                            *f |= INNER;
+                            let mut succs = pool.take();
+                            graph.successors_into(target, &mut succs)?;
+                            inner.push(Frame {
+                                key: target,
+                                edge_in: edge,
+                                succs,
+                                next: 0,
+                            });
+                        }
+                        continue;
                     }
-                }
-                color.insert(seed, Color::Black);
-                let frame = stack.pop().expect("outer frame present");
-                pool.give(frame.succs);
-            }
-        }
-
-        let stats = SearchStats {
-            unique_states: color.len(),
-            steps: graph.edges_explored,
-            max_depth: 0,
-            elapsed: start.elapsed(),
-            ..SearchStats::default()
-        };
-
-        let Some((seed, hit)) = found else {
-            return Ok(LtlReport {
-                outcome: LtlOutcome::Holds,
-                stats,
-                truncated: graph.truncated,
-                fallback: None,
-            });
-        };
-
-        // Reconstruct the lasso.
-        // Prefix: root -> seed along outer-DFS tree parents.
-        let mut prefix_edges: Vec<(usize, Edge)> = Vec::new(); // (source sys, edge)
-        {
-            let mut node = seed;
-            while let Some(&(parent, edge)) = parent1.get(&node) {
-                prefix_edges.push((parent.0, edge));
-                node = parent;
-            }
-            prefix_edges.reverse();
-        }
-        // Cycle part A: seed -> hit along inner-DFS parents.
-        let mut cycle_a: Vec<(usize, Edge)> = Vec::new();
-        {
-            // Walk at least one edge so that a cycle closing directly at the
-            // seed (hit == seed) is not reconstructed as empty.
-            let mut node = hit;
-            loop {
-                let &(parent, edge) = parent2.get(&node).expect("inner parent chain broken");
-                cycle_a.push((parent.0, edge));
-                node = parent;
-                if node == seed {
-                    break;
+                    let frame = inner.pop().expect("inner frame present");
+                    pool.give(frame.succs);
                 }
             }
-            cycle_a.reverse();
+            let f = flags.get_mut(seed);
+            *f = (*f & !GRAY) | BLACK;
+            let frame = outer.pop().expect("outer frame present");
+            pool.give(frame.succs);
         }
-        // Cycle part B: hit -> seed along the outer stack segment (outer
-        // parents lead from seed back up through hit, since hit is gray).
-        let mut cycle_b: Vec<(usize, Edge)> = Vec::new();
-        if hit != seed {
-            let mut node = seed;
-            loop {
-                let &(parent, edge) = parent1.get(&node).expect("outer parent chain broken");
-                cycle_b.push((parent.0, edge));
-                if parent == hit {
-                    break;
-                }
-                node = parent;
-            }
-            cycle_b.reverse();
-        }
+    }
 
-        let mut prefix_events = Vec::new();
-        for (sys, edge) in prefix_edges {
-            prefix_events.extend(graph.edge_events(sys, edge)?);
-        }
-        let mut cycle_events = Vec::new();
-        for (sys, edge) in cycle_a.into_iter().chain(cycle_b) {
-            cycle_events.extend(graph.edge_events(sys, edge)?);
-        }
+    let stats = SearchStats {
+        unique_states: colored,
+        steps: graph.edges_explored,
+        max_depth: 0,
+        elapsed: start.elapsed(),
+        ..SearchStats::default()
+    };
 
-        Ok(LtlReport {
-            outcome: LtlOutcome::Violated {
-                prefix: Trace::new(prefix_events),
-                cycle: Trace::new(cycle_events),
-            },
+    let Some((hit, hit_edge)) = hit else {
+        return Ok(LtlReport {
+            outcome: LtlOutcome::Holds,
             stats,
             truncated: graph.truncated,
             fallback: None,
-        })
-    }
+        });
+    };
+
+    // The lasso is read off the stacks. The outer stack runs from a root
+    // to the seed (its top), so it is the prefix. The cycle leaves the
+    // seed along the inner stack, takes the hit edge to the gray node,
+    // and returns to the seed along the outer stack from there (nothing,
+    // when the hit node is the seed itself).
+    let mut prefix = Vec::new();
+    graph.stack_events(&outer, &mut prefix)?;
+    let mut cycle = Vec::new();
+    graph.stack_events(&inner, &mut cycle)?;
+    let last = inner.last().expect("the inner search is under way");
+    graph.edge_events(last.key, hit_edge, &mut cycle)?;
+    let hit_at = outer
+        .iter()
+        .position(|f| f.key == hit)
+        .expect("a gray node is on the outer stack");
+    graph.stack_events(&outer[hit_at..], &mut cycle)?;
+
+    Ok(LtlReport {
+        outcome: LtlOutcome::Violated {
+            prefix: Trace::new(prefix),
+            cycle: Trace::new(cycle),
+        },
+        stats,
+        truncated: graph.truncated,
+        fallback: None,
+    })
 }
 
 #[cfg(test)]

@@ -39,14 +39,15 @@ use pnp_ltl::{translate, Ltl};
 
 use crate::explore::{CancelToken, Checker, SearchStats};
 use crate::liveness::{
-    check_ltl_sequential, compile_buchi, moved_procs, CompiledTransition, Edge, Fairness,
-    LtlOutcome, LtlReport, Node, Proposition, SuccPool,
+    check_ltl_sequential, compile_buchi, mark_enabled, moved_procs, next_counter,
+    CompiledTransition, Edge, Fairness, LtlOutcome, LtlReport, Node, Proposition, SuccPool,
 };
 use crate::program::Program;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::rng::SplitMix64;
 use crate::state::{
-    apply_step, apply_step_into, enabled_steps, KernelError, State, StateHasher, StateView, Step,
+    apply_step, apply_step_into, enabled_steps, enabled_steps_into, KernelError, State,
+    StateHasher, StateView, Step,
 };
 use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::visited::ShardedNodeSet;
@@ -150,19 +151,31 @@ impl SharedSearch<'_> {
     }
 }
 
+/// A worker's memo of one expanded system state: its `(step, successor
+/// system id)` pairs and, under weak fairness, which processes have an
+/// enabled step (as actor or rendezvous partner), taken from the full
+/// step list before partial-order reduction.
+struct Expanded {
+    succ: Vec<(Step, usize)>,
+    enabled: Vec<bool>,
+}
+
 /// Worker-local view of the product: per-worker memo caches over the
 /// shared interner (recomputation across workers is the usual swarm
 /// overhead; sharing the *interning* is what keeps `max_states` honest),
-/// plus the worker's PRNG and successor-buffer pool.
+/// plus the worker's PRNG, successor-buffer pool, and the step, message
+/// and successor-state buffers every expansion reuses.
 struct WorkerCtx<'a, 'p> {
     shared: &'a SharedSearch<'p>,
     rng: SplitMix64,
     states: Vec<Option<Arc<State>>>,
-    succ: HashMap<usize, Arc<Vec<(Step, usize)>>>,
+    succ: HashMap<usize, Arc<Expanded>>,
     labels: HashMap<usize, Arc<Vec<bool>>>,
-    enabled: HashMap<usize, Arc<Vec<bool>>>,
-    pool: SuccPool,
+    pool: SuccPool<(Edge, Node)>,
     edges: usize,
+    steps: Vec<Step>,
+    message: Vec<i32>,
+    scratch: State,
 }
 
 /// One outer-DFS stack frame: the node, the edge that reached it, and its
@@ -197,9 +210,11 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
             states: Vec::new(),
             succ: HashMap::new(),
             labels: HashMap::new(),
-            enabled: HashMap::new(),
             pool: SuccPool::default(),
             edges: 0,
+            steps: Vec::new(),
+            message: Vec::new(),
+            scratch: State::initial(shared.program),
         }
     }
 
@@ -221,7 +236,7 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
     /// Interns a copy of a new system state, charging the shared
     /// `max_states` budget; `None` marks the search truncated, like the
     /// sequential checker.
-    fn intern(&mut self, state: &State) -> Option<usize> {
+    fn intern(&self, state: &State) -> Option<usize> {
         let mut interner = self.shared.interner.lock().expect("interner poisoned");
         if let Some(&id) = interner.index.get(state) {
             return Some(id);
@@ -237,24 +252,31 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         Some(id)
     }
 
-    fn sys_successors(&mut self, sys: usize) -> Result<Arc<Vec<(Step, usize)>>, KernelError> {
+    /// Expands system state `sys` once per worker: one step enumeration
+    /// yields both its enabled processes and its successors.
+    fn sys_successors(&mut self, sys: usize) -> Result<Arc<Expanded>, KernelError> {
         if let Some(cached) = self.succ.get(&sys) {
             return Ok(Arc::clone(cached));
         }
         let state = self.state_of(sys);
-        let mut steps = enabled_steps(self.shared.program, &state)?;
-        if let Some(analysis) = &self.shared.reduction {
-            ample_subset(analysis, self.shared.program, &state, &mut steps);
+        let program = self.shared.program;
+        enabled_steps_into(program, &state, &mut self.steps, &mut self.message)?;
+        let mut enabled = Vec::new();
+        if self.shared.fairness == Fairness::Weak {
+            enabled.resize(self.shared.n_procs, false);
+            mark_enabled(&self.steps, &mut enabled);
         }
-        let mut successors = Vec::with_capacity(steps.len());
-        let mut scratch = (*state).clone();
-        for step in steps {
-            apply_step_into(self.shared.program, &state, step, &mut scratch, None)?;
-            if let Some(next) = self.intern(&scratch) {
-                successors.push((step, next));
+        if let Some(analysis) = &self.shared.reduction {
+            ample_subset(analysis, program, &state, &mut self.steps);
+        }
+        let mut succ = Vec::with_capacity(self.steps.len());
+        for &step in &self.steps {
+            apply_step_into(program, &state, step, &mut self.scratch, None)?;
+            if let Some(next) = self.intern(&self.scratch) {
+                succ.push((step, next));
             }
         }
-        let rc = Arc::new(successors);
+        let rc = Arc::new(Expanded { succ, enabled });
         self.succ.insert(sys, Arc::clone(&rc));
         Ok(rc)
     }
@@ -276,51 +298,13 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         Ok(rc)
     }
 
-    fn enabled_procs_of(&mut self, sys: usize) -> Result<Arc<Vec<bool>>, KernelError> {
-        if let Some(cached) = self.enabled.get(&sys) {
-            return Ok(Arc::clone(cached));
+    /// The fairness counter after an edge out of a node with counter
+    /// `k`, from a system state with `enabled` processes.
+    fn counter(&self, enabled: &[bool], k: u32, source_accepting: bool, moved: &[usize]) -> u32 {
+        match self.shared.fairness {
+            Fairness::None => 0,
+            Fairness::Weak => next_counter(k, source_accepting, enabled, moved),
         }
-        let state = self.state_of(sys);
-        let mut enabled = vec![false; self.shared.n_procs];
-        for step in enabled_steps(self.shared.program, &state)? {
-            enabled[step.proc.index()] = true;
-            if let Some((partner, _)) = step.partner {
-                enabled[partner.index()] = true;
-            }
-        }
-        let rc = Arc::new(enabled);
-        self.enabled.insert(sys, Arc::clone(&rc));
-        Ok(rc)
-    }
-
-    /// The weak-fairness counter transition; mirrors the sequential
-    /// `ProductGraph::next_counter` exactly (it must: the two searches
-    /// explore the same product graph).
-    fn next_counter(
-        &mut self,
-        sys: usize,
-        k: u32,
-        source_accepting: bool,
-        moved: &[usize],
-    ) -> Result<u32, KernelError> {
-        if self.shared.fairness == Fairness::None {
-            return Ok(0);
-        }
-        let n = self.shared.n_procs as u32;
-        let enabled = self.enabled_procs_of(sys)?;
-        let mut k2 = if k == n + 1 { 0 } else { k };
-        if k2 == 0 && source_accepting {
-            k2 = 1;
-        }
-        while k2 >= 1 && k2 <= n {
-            let p = (k2 - 1) as usize;
-            if moved.contains(&p) || !enabled[p] {
-                k2 += 1;
-            } else {
-                break;
-            }
-        }
-        Ok(k2)
     }
 
     /// Product successors of a node into a pooled buffer, in this
@@ -332,10 +316,10 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
     ) -> Result<(), KernelError> {
         debug_assert!(out.is_empty());
         let source_accepting = self.shared.accepting[b];
-        let sys_succ = self.sys_successors(sys)?;
-        if sys_succ.is_empty() {
+        let expanded = self.sys_successors(sys)?;
+        if expanded.succ.is_empty() {
             // Stutter extension, exactly as in the sequential product.
-            let k2 = self.next_counter(sys, k, source_accepting, &[])?;
+            let k2 = self.counter(&expanded.enabled, k, source_accepting, &[]);
             let labels = self.labels_of(sys)?;
             for t in &self.shared.buchi[b] {
                 if t.literals.iter().all(|&(i, pos)| labels[i] == pos) {
@@ -344,10 +328,9 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
             }
         } else {
             let mut moved = [0usize; 2];
-            for i in 0..sys_succ.len() {
-                let (step, next_sys) = sys_succ[i];
+            for &(step, next_sys) in &expanded.succ {
                 let n_moved = moved_procs(&step, &mut moved);
-                let k2 = self.next_counter(sys, k, source_accepting, &moved[..n_moved])?;
+                let k2 = self.counter(&expanded.enabled, k, source_accepting, &moved[..n_moved]);
                 let labels = self.labels_of(next_sys)?;
                 for t in &self.shared.buchi[b] {
                     if t.literals.iter().all(|&(i, pos)| labels[i] == pos) {

@@ -10,7 +10,7 @@
 use crate::program::Program;
 use crate::rng::SplitMix64;
 use crate::state::{
-    apply_step_into, enabled_steps, is_valid_end_state, KernelError, State, StateView,
+    apply_step_into, enabled_steps_into, is_valid_end_state, KernelError, State, StateView, Step,
 };
 use crate::trace::TraceEvent;
 
@@ -65,6 +65,10 @@ pub struct Simulator<'p> {
     state: State,
     /// Where the next state is built before it is swapped in.
     scratch: State,
+    /// The enabled steps of the current state, and a rendezvous message,
+    /// refilled by every step.
+    steps: Vec<Step>,
+    message: Vec<i32>,
     rng: SplitMix64,
     steps_taken: usize,
 }
@@ -77,6 +81,8 @@ impl<'p> Simulator<'p> {
             program,
             state: State::initial(program),
             scratch: State::initial(program),
+            steps: Vec::new(),
+            message: Vec::new(),
             rng: SplitMix64::seed_from_u64(seed),
             steps_taken: 0,
         }
@@ -104,13 +110,18 @@ impl<'p> Simulator<'p> {
     ///
     /// Returns [`KernelError`] when the model is broken.
     pub fn step(&mut self) -> Result<SimObservation, KernelError> {
-        let steps = enabled_steps(self.program, &self.state)?;
-        if steps.is_empty() {
+        enabled_steps_into(
+            self.program,
+            &self.state,
+            &mut self.steps,
+            &mut self.message,
+        )?;
+        if self.steps.is_empty() {
             return Ok(SimObservation::Halted {
                 deadlock: !is_valid_end_state(self.program, &self.state),
             });
         }
-        let choice = steps[self.rng.gen_index(steps.len())];
+        let choice = self.steps[self.rng.gen_index(self.steps.len())];
         let mut events = Vec::new();
         apply_step_into(
             self.program,

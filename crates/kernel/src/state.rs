@@ -341,6 +341,15 @@ impl State {
         self.hash
     }
 
+    /// Overwrites this state, in place, with `words` of the same width
+    /// and the hash a state with those words carries (as a
+    /// [`crate::arena::StateArena`] row keeps it).
+    pub(crate) fn load(&mut self, words: &[i32], hash: u64) {
+        debug_assert_eq!(hash, words_hash(words, STATE_SEED));
+        self.words.copy_from_slice(words);
+        self.hash = hash;
+    }
+
     fn loc(&self, layout: &Layout, proc: usize) -> u32 {
         self.words[layout.loc(proc)] as u32
     }

@@ -10,8 +10,18 @@
 //! with POR off and the exact backend at 1 and 2 threads, must agree on
 //!
 //! * the number of reachable states,
-//! * whether a deadlock is reachable, and
-//! * the set of reachable `(g0, g1)` valuations.
+//! * whether a deadlock is reachable,
+//! * the set of reachable `(g0, g1)` valuations, and
+//! * the verdicts of `<> p` and `[] <> p` without fairness, for each
+//!   `p` of the form `g0 == v` (the nested-DFS liveness search, at one
+//!   thread, with partial-order reduction off and on).
+//!
+//! The liveness verdicts need no automaton. Every move advances a
+//! process, so every run ends, and the kernel extends a run that ends by
+//! stuttering in its last state forever. `[] <> p` is therefore violated
+//! exactly when a reachable terminal state has `!p`, and `<> p` exactly
+//! when a path of `!p` states leads from the initial state to a `!p`
+//! terminal state.
 //!
 //! The one buffered channel has capacity 2, so sends blocking on a full
 //! queue and receives taking the head of a partly filled one are covered.
@@ -27,7 +37,8 @@ use proptest::prelude::*;
 
 use common::{arb_move, build_program, Move, RvPat, CHANNEL_CAPACITY};
 use pnp_kernel::{
-    expr, Checker, Predicate, Program, SafetyChecks, SafetyOutcome, SearchConfig, VisitedKind,
+    expr, Checker, Fairness, Predicate, Program, Proposition, SafetyChecks, SafetyOutcome,
+    SearchConfig, VisitedKind,
 };
 
 /// The oracle's global state. Process `i` is at move `pcs[i]`; it has
@@ -128,6 +139,12 @@ struct Reference {
     states: usize,
     deadlock: bool,
     valuations: BTreeSet<(i32, i32)>,
+    /// The `g0` values of the reachable terminal states (every process
+    /// finished, or deadlocked).
+    terminal_g0: BTreeSet<i32>,
+    /// Per `v` in `0..4`: whether a path of states with `g0 != v` leads
+    /// from the initial state to a terminal state with `g0 != v`.
+    avoids_g0: [bool; 4],
 }
 
 fn explore(procs: &[Vec<Move>]) -> Reference {
@@ -139,15 +156,17 @@ fn explore(procs: &[Vec<Move>]) -> Reference {
         queue: Vec::new(),
     };
     let mut visited = BTreeSet::from([initial.clone()]);
-    let mut stack = vec![initial];
+    let mut stack = vec![initial.clone()];
     let mut deadlock = false;
     let mut valuations = BTreeSet::new();
+    let mut terminal_g0 = BTreeSet::new();
     while let Some(s) = stack.pop() {
         valuations.insert((s.g0, s.g1));
         let next = successors(procs, &s);
         let finished = s.pcs.iter().zip(procs).all(|(&pc, m)| pc == m.len());
-        if next.is_empty() && !finished {
-            deadlock = true;
+        if next.is_empty() {
+            terminal_g0.insert(s.g0);
+            deadlock |= !finished;
         }
         for n in next {
             if visited.insert(n.clone()) {
@@ -159,7 +178,31 @@ fn explore(procs: &[Vec<Move>]) -> Reference {
         states: visited.len(),
         deadlock,
         valuations,
+        terminal_g0,
+        avoids_g0: [0, 1, 2, 3].map(|v| avoids(procs, &initial, |s| s.g0 != v)),
     }
+}
+
+/// Whether a path of states satisfying `keep` leads from `initial` to a
+/// terminal state (one with no successors) satisfying `keep`.
+fn avoids(procs: &[Vec<Move>], initial: &RefState, keep: impl Fn(&RefState) -> bool) -> bool {
+    if !keep(initial) {
+        return false;
+    }
+    let mut visited = BTreeSet::from([initial.clone()]);
+    let mut stack = vec![initial.clone()];
+    while let Some(s) = stack.pop() {
+        let next = successors(procs, &s);
+        if next.is_empty() {
+            return true;
+        }
+        for n in next {
+            if keep(&n) && visited.insert(n.clone()) {
+                stack.push(n);
+            }
+        }
+    }
+    false
 }
 
 fn checker(program: &Program, threads: usize) -> Checker<'_> {
@@ -213,6 +256,43 @@ fn agree(procs: &[Vec<Move>]) -> Result<(), String> {
                     return Err(format!(
                         "threads {threads}: (g0, g1) = ({a}, {b}) kernel reachable = \
                          {reachable}, oracle = {expected}"
+                    ));
+                }
+            }
+        }
+    }
+    for partial_order_reduction in [false, true] {
+        let kernel = Checker::with_config(
+            &program,
+            SearchConfig {
+                partial_order_reduction,
+                threads: 1,
+                ..SearchConfig::default()
+            },
+        );
+        for v in 0..4 {
+            let p = Proposition::new(
+                "p",
+                Predicate::from_expr(expr::eq(expr::global(g0), v.into())),
+            );
+            let expected = [
+                ("<> p", !reference.avoids_g0[v as usize]),
+                ("[] <> p", reference.terminal_g0.iter().all(|&g| g == v)),
+            ];
+            for (formula, oracle) in expected {
+                let report = kernel
+                    .check_ltl_with(
+                        &pnp_ltl::parse(formula).unwrap(),
+                        std::slice::from_ref(&p),
+                        Fairness::None,
+                    )
+                    .unwrap();
+                let holds = report.outcome.is_holds();
+                if holds != oracle || report.truncated {
+                    return Err(format!(
+                        "POR {partial_order_reduction}: {formula} with p = (g0 == {v}): kernel \
+                         holds = {holds} (truncated = {}), oracle = {oracle}",
+                        report.truncated
                     ));
                 }
             }

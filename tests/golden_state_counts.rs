@@ -12,8 +12,8 @@ use pnp_core::{
     ChannelKind, EventChannelSpec, RecvPortKind, SendPortKind, Subscription, SystemBuilder,
 };
 use pnp_kernel::{
-    expr, BudgetKind, Checker, Fairness, LtlOutcome, Predicate, Proposition, SafetyChecks,
-    SafetyOutcome, SearchConfig,
+    expr, BudgetKind, CancelToken, Checker, Fairness, LtlOutcome, Predicate, Proposition,
+    SafetyChecks, SafetyOutcome, SearchConfig,
 };
 
 #[test]
@@ -196,6 +196,123 @@ fn budget_counting_point_is_identical_in_both_kernels() {
     }
 }
 
+/// The step labels of the starvation lasso of `[] <> blue_on` under weak
+/// fairness (one blue car, unbounded laps), as the sequential nested DFS
+/// reports it: the prefix to the accepting cycle, then the cycle.
+const STARVE_PREFIX_LABELS: [&str; 96] = [
+    "approach bridge",
+    "send via BlueEnter.send[0]",
+    "forward to channel",
+    "store in buffer",
+    "IN_OK to send port",
+    "may admit another",
+    "receive request via BlueEnter.recv[0]",
+    "forward receive request",
+    "select matching message",
+    "OUT_OK to receive port",
+    "deliver message to receive port",
+    "RECV_OK to send port",
+    "clear delivery scratch",
+    "SEND_SUCC",
+    "RECV_SUCC",
+    "deliver message",
+    "drive onto bridge",
+    "drive off bridge",
+    "send via RedExit.send[0]",
+    "forward to channel",
+    "store in buffer",
+    "IN_OK to send port",
+    "SEND_SUCC",
+    "lap complete",
+    "approach bridge",
+    "send via BlueEnter.send[0]",
+    "forward to channel",
+    "store in buffer",
+    "IN_OK to send port",
+    "count admission",
+    "turn over: await exits",
+    "await another exit",
+    "receive request via BlueExit.recv[0]",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "no matching message",
+    "await another exit",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "no matching message",
+    "receive request via RedExit.recv[0]",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "select matching message",
+    "OUT_OK to receive port",
+    "deliver message to receive port",
+    "RECV_OK to send port",
+    "clear delivery scratch",
+    "RECV_SUCC",
+    "deliver message",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "count exit",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "my turn again",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "may admit another",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "receive request via RedEnter.recv[0]",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "no matching message",
+    "forward receive request",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "no matching message",
+    "forward receive request",
+    "OUT_FAIL to receive port",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "forward receive request",
+    "no matching message",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "OUT_FAIL to receive port",
+];
+
+const STARVE_CYCLE_LABELS: [&str; 12] = [
+    "no matching message",
+    "forward receive request",
+    "OUT_FAIL to receive port",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "forward receive request",
+    "no matching message",
+    "no matching message",
+    "OUT_FAIL to receive port",
+    "forward receive request",
+    "OUT_FAIL to receive port",
+];
+
 #[test]
 fn bridge_ltl_product_counts_match_recorded_goldens() {
     // E9's starvation spec, pinned at the *product automaton* level: the
@@ -215,16 +332,26 @@ fn bridge_ltl_product_counts_match_recorded_goldens() {
             Fairness::Weak,
         )
         .unwrap();
-    assert!(
-        matches!(report.outcome, LtlOutcome::Violated { .. }),
-        "{:?}",
-        report.outcome
-    );
     assert_eq!(
         report.stats.unique_states, 103,
         "bridge LTL product drifted"
     );
     assert_eq!(report.stats.steps, 329, "bridge LTL product edges drifted");
+    // The lasso itself, not only the search's counts: the nested DFS's
+    // visit order fixes which accepting cycle is found first, and the
+    // lasso is rebuilt from the DFS stacks.
+    let LtlOutcome::Violated { prefix, cycle } = &report.outcome else {
+        panic!("expected the starvation lasso, got {:?}", report.outcome);
+    };
+    let labels = |trace: &pnp_kernel::Trace| {
+        trace
+            .events()
+            .iter()
+            .map(|e| e.label().to_string())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(labels(prefix), STARVE_PREFIX_LABELS, "lasso prefix drifted");
+    assert_eq!(labels(cycle), STARVE_CYCLE_LABELS, "lasso cycle drifted");
 
     // A property that *holds* (the bridge safety invariant phrased as
     // `[] safe`) explores the complete product: a stronger pin, since no
@@ -247,6 +374,76 @@ fn bridge_ltl_product_counts_match_recorded_goldens() {
         report.stats.steps, 21567,
         "bridge holds-product edges drifted"
     );
+
+    // The same property under weak fairness: the benchmark's
+    // `bridge_liveness` product (no partial-order reduction, `N + 2`
+    // fairness counters per node).
+    let report = Checker::new(program)
+        .check_ltl_with(&pnp_ltl::parse("[] safe").unwrap(), &props, Fairness::Weak)
+        .unwrap();
+    assert!(report.outcome.is_holds(), "{:?}", report.outcome);
+    assert_eq!(
+        report.stats.unique_states, 82794,
+        "bridge weak-fairness product drifted"
+    );
+    assert_eq!(
+        report.stats.steps, 405737,
+        "bridge weak-fairness product edges drifted"
+    );
+}
+
+#[test]
+fn ltl_budget_and_cancellation_report_a_partial_holds() {
+    // A state budget or a cancellation stops the sequential nested DFS
+    // from interning new system states; it finishes over what it has and
+    // reports `truncated`, never a proof. The counts reached at each cap
+    // are pinned like the full products above.
+    let cfg = BridgeConfig::fixed().with_laps(Some(1));
+    let system = exactly_n_bridge(&cfg).unwrap();
+    let program = system.program();
+    let (_, safe) = safety_invariant(program);
+    let props = vec![Proposition::new("safe", safe)];
+    let formula = pnp_ltl::parse("[] safe").unwrap();
+    let capped = [
+        (Fairness::Weak, 50, 50, 82),
+        (Fairness::Weak, 500, 500, 1210),
+        (Fairness::None, 500, 500, 817),
+    ];
+    for (fairness, max_states, nodes, edges) in capped {
+        let report = Checker::with_config(
+            program,
+            SearchConfig {
+                max_states,
+                ..SearchConfig::default()
+            },
+        )
+        .check_ltl_with(&formula, &props, fairness)
+        .unwrap();
+        let at = format!("{fairness:?} at max_states = {max_states}");
+        assert!(report.outcome.is_holds(), "{at}: {:?}", report.outcome);
+        assert!(report.truncated, "{at}: not truncated");
+        assert_eq!(report.stats.unique_states, nodes, "{at}: nodes drifted");
+        assert_eq!(report.stats.steps, edges, "{at}: edges drifted");
+    }
+
+    // Cancelled before it starts, the search still interns the initial
+    // state (its root) and nothing after it.
+    for fairness in [Fairness::Weak, Fairness::None] {
+        let token = CancelToken::new();
+        token.cancel();
+        let report = Checker::new(program)
+            .with_cancellation(token)
+            .check_ltl_with(&formula, &props, fairness)
+            .unwrap();
+        assert!(
+            report.outcome.is_holds(),
+            "{fairness:?}: {:?}",
+            report.outcome
+        );
+        assert!(report.truncated, "{fairness:?}: not truncated");
+        assert_eq!(report.stats.unique_states, 1, "{fairness:?}");
+        assert_eq!(report.stats.steps, 1, "{fairness:?}");
+    }
 }
 
 #[test]
