@@ -1,11 +1,12 @@
 //! # pnp-bench — benchmark harness for the PnP reproduction
 //!
-//! Criterion benchmarks (`cargo bench`) regenerate the timing side of every
-//! experiment; the `experiments` binary
+//! The `experiments` binary
 //! (`cargo run --release -p pnp-bench --bin experiments`) prints the
-//! state-count and outcome tables recorded in `EXPERIMENTS.md`.
+//! state-count, outcome and timing tables recorded in `EXPERIMENTS.md`;
+//! the `chaos_search` binary drives the chaos matrices. End-to-end
+//! performance is measured by the separate `perfbench/` package.
 //!
-//! Helpers here build the standard systems the benchmarks measure.
+//! Helpers here build the standard systems the experiments measure.
 
 #![warn(missing_docs)]
 use pnp_bridge::{at_most_n_bridge, exactly_n_bridge, safety_invariant, BridgeConfig};

@@ -10,8 +10,8 @@
 //!
 //! Fused connectors support exactly one sender and one receiver component
 //! and bake their port semantics in — [`crate::SystemBuilder`] rejects
-//! attempts to re-port them. The `fused_vs_composed` benchmark quantifies
-//! the state-space savings.
+//! attempts to re-port them. The `experiments` binary's E11 table
+//! quantifies the state-space savings.
 //!
 //! One deliberate semantic nuance: a *composed* blocking receive polls the
 //! channel (request, `OUT_FAIL`, retry), so an unsatisfiable selective

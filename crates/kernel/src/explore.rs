@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::arena::{Interned, RowQueue, StateArena};
 use crate::expression::{EvalCtx, Expr};
 use crate::extmem::SpillFrontier;
 use crate::program::Program;
@@ -632,15 +633,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Estimated bytes one interned state costs: the state's words (the
-/// program's [`Layout`](crate::state::Layout) fixes their number) plus
-/// bookkeeping — the `State` header and its `Rc`, the hash-set entry, the
-/// parent link and the depth. A flat per-state figure keeps the memory
+/// program's [`Layout`](crate::state::Layout) fixes their number) plus a
+/// flat bookkeeping figure. A flat per-state figure keeps the memory
 /// budget deterministic.
+///
+/// The bookkeeping is billed on purpose as the store before the row arena
+/// cost: a boxed, reference-counted [`State`] (its header and two
+/// counters), a pointer-sized hash-set entry plus a control byte, the
+/// parent link and the depth. The arena's real overhead is smaller (a
+/// carried hash and about 12 bytes of id table per row), but re-billing
+/// would move every memory-budget trip and spill point, so it waits for
+/// the benchmark's spill budget to be chosen again.
 pub(crate) fn approx_state_bytes(program: &Program) -> usize {
     use std::mem::size_of;
     let words = program.layout.words() * size_of::<i32>();
     let state = size_of::<State>() + 2 * size_of::<usize>();
-    let entry = size_of::<Rc<State>>() + 1;
+    let entry = size_of::<usize>() + 1;
     let parent = size_of::<Option<(usize, Step)>>() + size_of::<usize>();
     words + state + entry + parent
 }
@@ -707,29 +715,37 @@ pub(crate) fn flush_checkpoint(
         })
 }
 
-/// Replays every state's discovery chain recorded in `parents` (parent ids
-/// are strictly increasing, so a single forward pass suffices).
+/// Replays every state's discovery chain recorded in `parents` into an
+/// arena whose row ids are the state ids (parent ids are strictly smaller
+/// than their children's, so a single forward pass suffices).
 fn replay_states(
     program: &Program,
     parents: &[Option<(usize, Step)>],
-) -> Result<Vec<Rc<State>>, KernelError> {
-    let mut states: Vec<Rc<State>> = Vec::with_capacity(parents.len());
+) -> Result<StateArena, KernelError> {
+    let corrupt = |message: String| KernelError::Snapshot { message };
+    let mut arena = StateArena::new();
+    let mut parent_state = State::initial(program);
+    let mut state = State::initial(program);
     for (id, parent) in parents.iter().enumerate() {
-        let state = match parent {
-            None if id == 0 => Rc::new(State::initial(program)),
+        match parent {
+            None if id == 0 => {}
             None => {
-                return Err(KernelError::Snapshot {
-                    message: format!("state {id} has no parent but is not the root"),
-                })
+                return Err(corrupt(format!(
+                    "state {id} has no parent but is not the root"
+                )))
             }
             Some((parent_id, step)) => {
-                let applied = apply_step(program, &states[*parent_id], *step)?;
-                Rc::new(applied.state)
+                arena.load(*parent_id as u32, &mut parent_state);
+                apply_step_into(program, &parent_state, *step, &mut state, None)?;
             }
-        };
-        states.push(state);
+        }
+        match arena.intern(&state, |_| true) {
+            Interned::New(_) => {}
+            Interned::Old(twin) => return Err(corrupt(format!("state {id} repeats state {twin}"))),
+            Interned::Refused => return Err(corrupt(format!("state {id} is past the arena"))),
+        }
     }
-    Ok(states)
+    Ok(arena)
 }
 
 /// Rebuilds the visited-set backend recorded in a snapshot. Exact and
@@ -749,8 +765,9 @@ fn restore_visited(
                 new_disk_visited(storage, spill_at).map_err(|error| KernelError::Snapshot {
                     message: format!("cannot prepare spill storage: {error}"),
                 })?;
-            for state in replay_states(program, &snapshot.parents)? {
-                disk.insert_new(&state);
+            let arena = replay_states(program, &snapshot.parents)?;
+            for id in 0..arena.len() as u32 {
+                disk.insert_new(arena.row(id), arena.hash(id));
                 if let Some(error) = disk.take_error() {
                     return Err(KernelError::Snapshot {
                         message: format!("out-of-core visited rebuild failed: {error}"),
@@ -762,13 +779,10 @@ fn restore_visited(
             disk.reset_spill_counters();
             Ok(AnyVisited::Disk(disk))
         }
-        VisitedPayload::Exact => {
-            let mut set = ExactVisited::new(per_state_bytes);
-            for state in replay_states(program, &snapshot.parents)? {
-                set.insert_if_new(&state, true);
-            }
-            Ok(AnyVisited::Exact(set))
-        }
+        VisitedPayload::Exact => Ok(AnyVisited::Exact(ExactVisited::from_arena(
+            replay_states(program, &snapshot.parents)?,
+            per_state_bytes,
+        ))),
         VisitedPayload::Compact(hashes) => Ok(AnyVisited::Compact(CompactVisited::from_hashes(
             hashes.iter().copied(),
         ))),
@@ -792,72 +806,132 @@ fn restore_visited(
     }
 }
 
-/// The BFS queue: in RAM until the spill threshold moves it out of core.
+/// The exact backend's arena, which an id frontier indexes.
+fn exact_rows(visited: &AnyVisited) -> &StateArena {
+    match visited {
+        AnyVisited::Exact(set) => set.arena(),
+        _ => unreachable!("an id frontier belongs to the exact backend"),
+    }
+}
+
+/// The BFS queue. Under the exact backend every state is a row of its
+/// arena, so the queue holds row ids. The other backends keep no states,
+/// so their queue holds the rows themselves, in RAM until the spill
+/// threshold moves them out of core.
 enum Frontier {
-    Ram(VecDeque<(usize, Rc<State>)>),
-    Disk(SpillFrontier),
+    Ids(VecDeque<u32>),
+    Rows(RowQueue),
+    /// Boxed: a spilled frontier is rare and several times the others'
+    /// size.
+    Disk(Box<SpillFrontier>),
 }
 
 impl Frontier {
+    /// An empty queue for the states of `visited`.
+    fn new(visited: &AnyVisited) -> Frontier {
+        match visited {
+            AnyVisited::Exact(_) => Frontier::Ids(VecDeque::new()),
+            _ => Frontier::Rows(RowQueue::new()),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
-            Frontier::Ram(queue) => queue.len(),
+            Frontier::Ids(queue) => queue.len(),
+            Frontier::Rows(queue) => queue.len(),
             Frontier::Disk(spill) => spill.len(),
         }
     }
 
     fn is_empty(&self) -> bool {
-        match self {
-            Frontier::Ram(queue) => queue.is_empty(),
-            Frontier::Disk(spill) => spill.is_empty(),
-        }
+        self.len() == 0
     }
 
-    /// RAM resident bytes (a spilled frontier holds only its head/tail
-    /// windows and chunk bookkeeping in memory).
+    /// RAM resident bytes, as billed (a spilled frontier holds only its
+    /// head/tail windows and chunk bookkeeping in memory).
     fn ram_bytes(&self, per_state_bytes: usize) -> usize {
         match self {
-            Frontier::Ram(queue) => queue.len() * per_state_bytes,
+            Frontier::Ids(_) | Frontier::Rows(_) => self.len() * per_state_bytes,
             Frontier::Disk(spill) => spill.ram_bytes(),
         }
     }
 
-    fn pop_front(&mut self) -> io::Result<Option<(usize, Rc<State>)>> {
+    /// Pops the oldest state into `into` and returns its id.
+    fn pop_front(&mut self, visited: &AnyVisited, into: &mut State) -> io::Result<Option<usize>> {
         match self {
-            Frontier::Ram(queue) => Ok(queue.pop_front()),
-            Frontier::Disk(spill) => spill.pop_front(),
+            Frontier::Ids(queue) => Ok(queue.pop_front().map(|id| {
+                exact_rows(visited).load(id, into);
+                id as usize
+            })),
+            Frontier::Rows(queue) => Ok(queue.pop_front_into(into)),
+            Frontier::Disk(spill) => spill.pop_front_into(into),
         }
     }
 
-    /// Requeues at the front; infallible in both representations so budget
-    /// rollback can never fail.
-    fn push_front(&mut self, id: usize, state: Rc<State>) {
+    /// Requeues state `id` (just popped into `state`) at the front;
+    /// infallible in every representation so budget rollback can never
+    /// fail.
+    fn push_front(&mut self, id: usize, state: &State) {
         match self {
-            Frontier::Ram(queue) => queue.push_front((id, state)),
-            Frontier::Disk(spill) => spill.push_front(id, state),
+            Frontier::Ids(queue) => queue.push_front(id as u32),
+            Frontier::Rows(queue) => queue.push_front(id, state.words(), state.content_hash()),
+            Frontier::Disk(spill) => spill.push_front(id, state.words(), state.content_hash()),
         }
     }
 
-    fn push_back(&mut self, id: usize, state: Rc<State>) -> io::Result<()> {
+    /// Queues the new state `id`, whose words are `state`.
+    fn push_back(&mut self, id: usize, state: &State) -> io::Result<()> {
         match self {
-            Frontier::Ram(queue) => {
-                queue.push_back((id, state));
-                Ok(())
+            Frontier::Ids(queue) => queue.push_back(id as u32),
+            Frontier::Rows(queue) => queue.push_back(id, state.words(), state.content_hash()),
+            Frontier::Disk(spill) => {
+                return spill.push_back(id, state.words(), state.content_hash())
             }
-            Frontier::Disk(spill) => spill.push_back(id, state),
         }
+        Ok(())
     }
 
     /// The full queue content in FIFO order, for checkpoint flushes.
-    fn snapshot_states(&self) -> io::Result<Vec<(usize, State)>> {
+    fn snapshot_states(&self, visited: &AnyVisited) -> io::Result<Vec<(usize, State)>> {
+        let row_state = |words: &[i32]| State::from_words(words.into());
         match self {
-            Frontier::Ram(queue) => Ok(queue
+            Frontier::Ids(queue) => {
+                let arena = exact_rows(visited);
+                Ok(queue
+                    .iter()
+                    .map(|&id| (id as usize, row_state(arena.row(id))))
+                    .collect())
+            }
+            Frontier::Rows(queue) => Ok(queue
                 .iter()
-                .map(|(id, state)| (*id, (**state).clone()))
+                .map(|(id, words, _)| (id, row_state(words)))
                 .collect()),
             Frontier::Disk(spill) => spill.snapshot_states(),
         }
     }
+}
+
+/// The queue of a resumed search: its frontier's states, in the
+/// snapshot's order (the parallel engine writes canonical (depth, id)
+/// order, so the ids need not be a contiguous tail). Under the exact
+/// backend each state must be the row its id names.
+fn restore_frontier(snapshot: &Snapshot, visited: &AnyVisited) -> Result<Frontier, KernelError> {
+    let mut frontier = Frontier::new(visited);
+    for (id, state) in &snapshot.frontier {
+        if let Frontier::Ids(_) = frontier {
+            let arena = exact_rows(visited);
+            if arena.row(*id as u32) != state.words() {
+                return Err(KernelError::Snapshot {
+                    message: format!("frontier state {id} is not the state its parents replay to"),
+                });
+            }
+        }
+        // In RAM, so the push cannot fail.
+        frontier
+            .push_back(*id, state)
+            .expect("an in-RAM queue push is infallible");
+    }
+    Ok(frontier)
 }
 
 /// Deterministic RAM-footprint estimate of the live search structures.
@@ -869,8 +943,9 @@ fn memory_estimate(
 ) -> usize {
     match visited {
         AnyVisited::Exact(_) => {
-            // Frontier states share their payload with the visited set;
-            // only the queue entries themselves count.
+            // Frontier states are rows of the visited set's arena; only the
+            // queue entries themselves count, billed a word each (see
+            // `approx_state_bytes` for why the billing is kept).
             visited.approx_bytes() + frontier.len() * std::mem::size_of::<usize>()
         }
         _ => {
@@ -965,10 +1040,12 @@ fn spill_trip(error: &io::Error, what: &str) -> Result<BudgetKind, KernelError> 
     }
 }
 
-/// Moves the in-RAM exact visited set and/or RAM frontier out of core.
-/// Non-destructive on failure: the RAM structures are only replaced after
-/// their disk counterparts are fully built, so a failed transition leaves
-/// the search state intact for an honest budget trip.
+/// Moves the in-RAM exact visited set and/or RAM frontier out of core:
+/// the arena's rows go to a [`DiskExactVisited`] in content-hash order,
+/// the frontier's rows to a [`SpillFrontier`], and then the arena is
+/// freed. Non-destructive on failure: each RAM structure is only replaced
+/// after its disk counterpart is fully built, so a failed transition
+/// leaves the search state intact for an honest budget trip.
 fn spill_to_disk(
     storage: &(VfsHandle, PathBuf),
     spill_at: Option<usize>,
@@ -976,36 +1053,40 @@ fn spill_to_disk(
     visited: &mut AnyVisited,
     frontier: &mut Frontier,
 ) -> io::Result<()> {
-    if matches!(visited, AnyVisited::Exact(_)) {
+    if let AnyVisited::Exact(set) = &*visited {
+        let arena = set.arena();
         let mut disk = new_disk_visited(storage, spill_at)?;
-        if let AnyVisited::Exact(set) = &*visited {
-            // Hash-set iteration order is nondeterministic; a sorted
-            // insert order keeps the spill's disk-op sequence reproducible
-            // under the seeded SimFs.
-            let mut states: Vec<Rc<State>> = set.states().cloned().collect();
-            states.sort_unstable_by_key(|state| state.content_hash());
-            for state in &states {
-                disk.insert_new(state);
-                if let Some(error) = disk.take_error() {
-                    return Err(error);
-                }
+        // Content-hash order makes the spill's disk-op sequence a
+        // function of the state set alone.
+        let mut ids: Vec<u32> = (0..arena.len() as u32).collect();
+        ids.sort_unstable_by_key(|&id| arena.hash(id));
+        for id in ids {
+            disk.insert_new(arena.row(id), arena.hash(id));
+            if let Some(error) = disk.take_error() {
+                return Err(error);
             }
+        }
+        // The queued rows leave the arena before it goes.
+        if let Frontier::Ids(queue) = &*frontier {
+            let mut rows = RowQueue::new();
+            for &id in queue {
+                rows.push_back(id as usize, arena.row(id), arena.hash(id));
+            }
+            *frontier = Frontier::Rows(rows);
         }
         *visited = AnyVisited::Disk(disk);
     }
-    if matches!(frontier, Frontier::Ram(_)) {
+    if let Frontier::Rows(rows) = &*frontier {
         let mut spill = SpillFrontier::new(
             VfsHandle::clone(&storage.0),
             storage.1.join("frontier"),
             frontier_chunk_cap(spill_at),
             per_state_bytes,
         )?;
-        if let Frontier::Ram(queue) = &*frontier {
-            for (id, state) in queue {
-                spill.push_back(*id, Rc::clone(state))?;
-            }
+        for (id, words, hash) in rows.iter() {
+            spill.push_back(id, words, hash)?;
         }
-        *frontier = Frontier::Disk(spill);
+        *frontier = Frontier::Disk(Box::new(spill));
     }
     Ok(())
 }
@@ -1252,8 +1333,9 @@ impl<'p> Checker<'p> {
         };
 
         // Search state: parent links and depths per interned state id, the
-        // frontier (discovered, unexpanded states with payloads), and the
-        // visited-set backend. Fresh, or restored from a snapshot.
+        // frontier (discovered, unexpanded states: arena row ids under the
+        // exact backend, rows otherwise), and the visited-set backend.
+        // Fresh, or restored from a snapshot.
         let mut stats = SearchStats::default();
         let mut base_elapsed = Duration::ZERO;
         let mut visited: AnyVisited;
@@ -1265,13 +1347,7 @@ impl<'p> Checker<'p> {
             visited = restore_visited(program, snapshot, per_state_bytes, &storage, spill_at)?;
             parents = snapshot.parents.clone();
             depths = snapshot.depths.clone();
-            frontier = Frontier::Ram(
-                snapshot
-                    .frontier
-                    .iter()
-                    .map(|(id, state)| (*id, Rc::new(state.clone())))
-                    .collect(),
-            );
+            frontier = restore_frontier(snapshot, &visited)?;
             stats.steps = snapshot.stats.steps as usize;
             stats.max_depth = snapshot.stats.max_depth as usize;
             stats.peak_frontier = snapshot.stats.peak_frontier as usize;
@@ -1282,7 +1358,7 @@ impl<'p> Checker<'p> {
             stats.merge_passes = snapshot.stats.merge_passes as usize;
             base_elapsed = Duration::from_nanos(snapshot.stats.elapsed_nanos);
         } else {
-            let initial = Rc::new(State::initial(program));
+            let initial = State::initial(program);
             if let Some(hit) = eval_invariants(checks, &StateView::new(program, &initial))? {
                 return Ok(SafetyReport {
                     outcome: hit_outcome(hit, Trace::default()),
@@ -1307,7 +1383,10 @@ impl<'p> Checker<'p> {
             visited.insert_if_new(&initial, true);
             parents = vec![None];
             depths = vec![0];
-            frontier = Frontier::Ram(VecDeque::from([(0, initial)]));
+            frontier = Frontier::new(&visited);
+            frontier
+                .push_back(0, &initial)
+                .expect("an in-RAM queue push is infallible");
             stats.peak_frontier = 1;
         }
 
@@ -1319,6 +1398,8 @@ impl<'p> Checker<'p> {
         let mut tripped: Option<BudgetKind> = None;
         let mut depth_trimmed = false;
         let mut states_at_last_flush = parents.len();
+        // The state being expanded, and the successor being built.
+        let mut state = State::initial(program);
         let mut scratch = State::initial(program);
         // Each expansion's enabled steps and a rendezvous send's message
         // are built in these, reused across states.
@@ -1359,8 +1440,8 @@ impl<'p> Checker<'p> {
             // estimate is recomputed so the memory budget below sees the
             // post-spill footprint.
             if let Some(threshold) = spill_at {
-                let spillable =
-                    matches!(visited, AnyVisited::Exact(_)) || matches!(frontier, Frontier::Ram(_));
+                let spillable = matches!(visited, AnyVisited::Exact(_))
+                    || !matches!(frontier, Frontier::Disk(_));
                 if spillable && mem >= threshold {
                     match spill_to_disk(
                         &storage,
@@ -1396,12 +1477,11 @@ impl<'p> Checker<'p> {
                 if let Some(sink) = &self.sink {
                     stats.unique_states = parents.len();
                     sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
-                    let frontier_states =
-                        frontier
-                            .snapshot_states()
-                            .map_err(|error| KernelError::Snapshot {
-                                message: format!("out-of-core frontier snapshot failed: {error}"),
-                            })?;
+                    let frontier_states = frontier.snapshot_states(&visited).map_err(|error| {
+                        KernelError::Snapshot {
+                            message: format!("out-of-core frontier snapshot failed: {error}"),
+                        }
+                    })?;
                     flush_checkpoint(
                         sink,
                         fingerprint,
@@ -1418,8 +1498,8 @@ impl<'p> Checker<'p> {
                 }
             }
 
-            let (id, state) = match frontier.pop_front() {
-                Ok(Some(entry)) => entry,
+            let id = match frontier.pop_front(&visited, &mut state) {
+                Ok(Some(id)) => id,
                 Ok(None) => break 'search,
                 Err(error) => {
                     tripped = Some(spill_trip(&error, "out-of-core frontier read failed")?);
@@ -1501,8 +1581,8 @@ impl<'p> Checker<'p> {
                 // (see `tests/golden_state_counts.rs` for the regression
                 // pinning both).
                 let room = parents.len() < self.config.max_states;
-                let next = match visited.insert_if_new(&scratch, room) {
-                    Insert::Inserted(next) => next,
+                match visited.insert_if_new(&scratch, room) {
+                    Insert::Inserted(()) => {}
                     Insert::Duplicate => {
                         if let AnyVisited::Disk(disk) = &mut visited {
                             if let Some(error) = disk.take_error() {
@@ -1513,7 +1593,7 @@ impl<'p> Checker<'p> {
                                 // same contract as the `max_states` trip
                                 // below) so the search state stays exact.
                                 stats.steps -= steps_this_expansion;
-                                frontier.push_front(id, Rc::clone(&state));
+                                frontier.push_front(id, &state);
                                 tripped =
                                     Some(spill_trip(&error, "out-of-core visited probe failed")?);
                                 break 'search;
@@ -1528,17 +1608,17 @@ impl<'p> Checker<'p> {
                         // it — counting precisely the steps an
                         // uninterrupted run would.
                         stats.steps -= steps_this_expansion;
-                        frontier.push_front(id, Rc::clone(&state));
+                        frontier.push_front(id, &state);
                         tripped = Some(BudgetKind::States);
                         break 'search;
                     }
-                };
+                }
                 let next_id = parents.len();
                 parents.push(Some((id, step)));
                 depths.push(depths[id] + 1);
 
-                if let Some(hit) = eval_invariants(checks, &StateView::new(program, &next))? {
-                    match rebuild_trace(program, &parents, next_id, &next, lossy)? {
+                if let Some(hit) = eval_invariants(checks, &StateView::new(program, &scratch))? {
+                    match rebuild_trace(program, &parents, next_id, &scratch, lossy)? {
                         Some(trace) => {
                             stats.unique_states = parents.len();
                             stats.elapsed = base_elapsed + start.elapsed();
@@ -1552,7 +1632,7 @@ impl<'p> Checker<'p> {
                         None => stats.replay_rejected += 1,
                     }
                 }
-                if let Err(error) = frontier.push_back(next_id, next) {
+                if let Err(error) = frontier.push_back(next_id, &scratch) {
                     // The new state is retained in the spilled frontier's
                     // RAM tail even when its chunk flush fails, so the
                     // search state (and any final snapshot) stays complete.
@@ -1563,7 +1643,7 @@ impl<'p> Checker<'p> {
                     // successors interned before the failure — so totals
                     // stay exactly those of an uninterrupted run.
                     stats.steps -= steps_this_expansion;
-                    frontier.push_front(id, Rc::clone(&state));
+                    frontier.push_front(id, &state);
                     tripped = Some(spill_trip(&error, "out-of-core frontier write failed")?);
                     break 'search;
                 }
@@ -1583,12 +1663,11 @@ impl<'p> Checker<'p> {
                 // An interrupted search always flushes a final snapshot:
                 // budget trips and cancellation lose no work.
                 if let Some(sink) = &self.sink {
-                    let frontier_states =
-                        frontier
-                            .snapshot_states()
-                            .map_err(|error| KernelError::Snapshot {
-                                message: format!("out-of-core frontier snapshot failed: {error}"),
-                            })?;
+                    let frontier_states = frontier.snapshot_states(&visited).map_err(|error| {
+                        KernelError::Snapshot {
+                            message: format!("out-of-core frontier snapshot failed: {error}"),
+                        }
+                    })?;
                     flush_checkpoint(
                         sink,
                         fingerprint,

@@ -26,10 +26,10 @@ use std::collections::VecDeque;
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::rc::Rc;
 
+use crate::arena::RowQueue;
 use crate::rng::checksum64;
-use crate::snapshot::{decode_state, encode_state, encoded_state_len};
+use crate::snapshot::{append_words, encoded_words_len};
 use crate::state::State;
 use crate::vfs::{commit_replace, VfsHandle};
 
@@ -56,15 +56,32 @@ fn corrupt(what: impl Into<String>) -> io::Error {
 
 /// Serializes entries into the checksummed `PNPRUN03` envelope.
 pub(crate) fn encode_run(entries: &[RunEntry]) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(8 + 8 + entries.iter().map(|e| 16 + e.payload.len()).sum::<usize>() + 8);
-    out.extend_from_slice(RUN_MAGIC);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    let payloads = entries.iter().map(|e| 16 + e.payload.len()).sum::<usize>();
+    let mut out = start_run(entries.len(), payloads);
     for entry in entries {
-        out.extend_from_slice(&entry.key.to_le_bytes());
-        out.extend_from_slice(&(entry.payload.len() as u64).to_le_bytes());
+        push_run_entry(&mut out, entry.key, entry.payload.len());
         out.extend_from_slice(&entry.payload);
     }
+    seal_run(out)
+}
+
+/// A run's magic and entry count, in a buffer with room for `body` more
+/// bytes of entries and the checksum.
+fn start_run(count: usize, body: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + 8 + body + 8);
+    out.extend_from_slice(RUN_MAGIC);
+    out.extend_from_slice(&(count as u64).to_le_bytes());
+    out
+}
+
+/// An entry's key and payload length; the payload follows.
+fn push_run_entry(out: &mut Vec<u8>, key: u64, len: usize) {
+    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+}
+
+/// Appends the checksum over everything before it.
+fn seal_run(mut out: Vec<u8>) -> Vec<u8> {
     let checksum = checksum64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -167,24 +184,26 @@ pub(crate) fn merge_runs(runs: Vec<Vec<RunEntry>>) -> Vec<RunEntry> {
 /// chunks to `PNPRUN03` files, reading them back (and deleting them) in
 /// order as the search drains the queue.
 ///
-/// Structure: `head` (states read back or pushed to the front) →
-/// spilled `chunks` (oldest first) → `tail` (the in-RAM write buffer).
-/// `push_front` is infallible so budget-trip rollback never touches
-/// the disk.
+/// Structure: `head` (rows read back or pushed to the front) → spilled
+/// `chunks` (oldest first) → `tail` (the in-RAM write buffer). Both RAM
+/// windows are [`RowQueue`]s, so a queued state costs its words and no
+/// allocation of its own. `push_front` is infallible so budget-trip
+/// rollback never touches the disk.
 #[derive(Debug)]
 pub(crate) struct SpillFrontier {
     vfs: VfsHandle,
     dir: PathBuf,
-    head: VecDeque<(usize, Rc<State>)>,
+    head: RowQueue,
     chunks: VecDeque<u64>,
-    tail: VecDeque<(usize, Rc<State>)>,
+    tail: RowQueue,
     tail_bytes: usize,
     chunk_cap_bytes: usize,
     per_state_bytes: usize,
     next_chunk: u64,
-    len: usize,
     spilled_states: usize,
     spill_bytes: usize,
+    /// States in the spilled chunks.
+    chunked: usize,
 }
 
 impl SpillFrontier {
@@ -206,16 +225,16 @@ impl SpillFrontier {
         Ok(SpillFrontier {
             vfs,
             dir,
-            head: VecDeque::new(),
+            head: RowQueue::new(),
             chunks: VecDeque::new(),
-            tail: VecDeque::new(),
+            tail: RowQueue::new(),
             tail_bytes: 0,
             chunk_cap_bytes: chunk_cap_bytes.max(1),
             per_state_bytes: per_state_bytes.max(1),
             next_chunk: 0,
-            len: 0,
             spilled_states: 0,
             spill_bytes: 0,
+            chunked: 0,
         })
     }
 
@@ -224,11 +243,7 @@ impl SpillFrontier {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.head.len() + self.chunked + self.tail.len()
     }
 
     /// States spilled to chunk files so far (cumulative).
@@ -247,14 +262,12 @@ impl SpillFrontier {
         (self.head.len() + self.tail.len()) * self.per_state_bytes + self.chunks.len() * 16
     }
 
-    /// Appends to the queue, flushing the tail to a chunk file once it
-    /// crosses the chunk capacity. On a flush error the tail (including
-    /// this state) stays in RAM, so no state is ever lost.
-    pub(crate) fn push_back(&mut self, id: usize, state: Rc<State>) -> io::Result<()> {
-        let bytes = encoded_state_len(&state) + 16;
-        self.tail.push_back((id, state));
-        self.tail_bytes += bytes;
-        self.len += 1;
+    /// Appends a state's row to the queue, flushing the tail to a chunk
+    /// file once it crosses the chunk capacity. On a flush error the tail
+    /// (including this state) stays in RAM, so no state is ever lost.
+    pub(crate) fn push_back(&mut self, id: usize, words: &[i32], hash: u64) -> io::Result<()> {
+        self.tail.push_back(id, words, hash);
+        self.tail_bytes += encoded_words_len(words.len()) + 16;
         if self.tail_bytes >= self.chunk_cap_bytes {
             self.flush_tail()?;
         }
@@ -263,87 +276,85 @@ impl SpillFrontier {
 
     /// Returns a state to the front of the queue (budget-trip rollback).
     /// Purely in-RAM, so it cannot fail.
-    pub(crate) fn push_front(&mut self, id: usize, state: Rc<State>) {
-        self.head.push_front((id, state));
-        self.len += 1;
+    pub(crate) fn push_front(&mut self, id: usize, words: &[i32], hash: u64) {
+        self.head.push_front(id, words, hash);
     }
 
-    /// Pops the oldest state, reading back (and then deleting) the oldest
-    /// chunk file when the in-RAM head is exhausted. A chunk that fails to
-    /// read stays on disk and in the queue, so the caller can checkpoint
-    /// or retry without losing states.
-    pub(crate) fn pop_front(&mut self) -> io::Result<Option<(usize, Rc<State>)>> {
+    /// Pops the oldest state into `into` and returns its id, reading back
+    /// (and then deleting) the oldest chunk file when the in-RAM head is
+    /// exhausted. A chunk that fails to read stays on disk and in the
+    /// queue, so the caller can checkpoint or retry without losing states.
+    pub(crate) fn pop_front_into(&mut self, into: &mut State) -> io::Result<Option<usize>> {
         if self.head.is_empty() {
             if let Some(&seq) = self.chunks.front() {
                 let path = self.chunk_path(seq);
-                let mut loaded = VecDeque::new();
-                for entry in decode_run(&self.vfs.read(&path)?)? {
-                    let id =
-                        usize::try_from(entry.key).map_err(|_| corrupt("frontier id overflows"))?;
-                    let state = decode_state(&entry.payload)
-                        .map_err(|e| corrupt(format!("frontier state: {e}")))?;
-                    loaded.push_back((id, Rc::new(state)));
+                let bytes = self.vfs.read(&path)?;
+                self.head.clear();
+                if let Err(error) = load_chunk(&bytes, &mut self.head) {
+                    self.head.clear();
+                    return Err(error);
                 }
                 // Fully decoded: only now consume the chunk.
                 self.chunks.pop_front();
+                self.chunked -= self.head.len();
                 let _ = self.vfs.remove(&path);
-                self.head = loaded;
             } else if !self.tail.is_empty() {
                 std::mem::swap(&mut self.head, &mut self.tail);
+                self.tail.clear();
                 self.tail_bytes = 0;
             }
         }
-        let popped = self.head.pop_front();
-        if popped.is_some() {
-            self.len -= 1;
-        }
-        Ok(popped)
+        Ok(self.head.pop_front_into(into))
     }
 
     /// A non-destructive FIFO-ordered copy of every queued state, for
     /// checkpoint snapshots (chunks are read but not consumed).
     pub(crate) fn snapshot_states(&self) -> io::Result<Vec<(usize, State)>> {
-        let mut out = Vec::with_capacity(self.len);
-        for (id, state) in &self.head {
-            out.push((*id, (**state).clone()));
-        }
+        let row_state =
+            |(id, words, _): (usize, &[i32], u64)| (id, State::from_words(words.into()));
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.head.iter().map(row_state));
+        let mut chunk = RowQueue::new();
         for &seq in &self.chunks {
-            for entry in decode_run(&self.vfs.read(&self.chunk_path(seq))?)? {
-                let id =
-                    usize::try_from(entry.key).map_err(|_| corrupt("frontier id overflows"))?;
-                let state = decode_state(&entry.payload)
-                    .map_err(|e| corrupt(format!("frontier state: {e}")))?;
-                out.push((id, state));
-            }
+            chunk.clear();
+            load_chunk(&self.vfs.read(&self.chunk_path(seq))?, &mut chunk)?;
+            out.extend(chunk.iter().map(row_state));
         }
-        for (id, state) in &self.tail {
-            out.push((*id, (**state).clone()));
-        }
+        out.extend(self.tail.iter().map(row_state));
         Ok(out)
     }
 
     fn flush_tail(&mut self) -> io::Result<()> {
-        if self.tail.is_empty() {
+        let count = self.tail.len();
+        if count == 0 {
             return Ok(());
         }
-        let entries: Vec<RunEntry> = self
-            .tail
-            .iter()
-            .map(|(id, state)| RunEntry {
-                key: *id as u64,
-                payload: encode_state(state),
-            })
-            .collect();
-        let bytes = encode_run(&entries);
+        let mut out = start_run(count, self.tail_bytes);
+        for (id, words, _) in self.tail.iter() {
+            push_run_entry(&mut out, id as u64, encoded_words_len(words.len()));
+            append_words(words, &mut out);
+        }
+        let bytes = seal_run(out);
         commit_replace(self.vfs.as_ref(), &self.chunk_path(self.next_chunk), &bytes)?;
         self.chunks.push_back(self.next_chunk);
         self.next_chunk += 1;
-        self.spilled_states += entries.len();
+        self.chunked += count;
+        self.spilled_states += count;
         self.spill_bytes += bytes.len();
         self.tail.clear();
         self.tail_bytes = 0;
         Ok(())
     }
+}
+
+/// Decodes a frontier chunk's entries into `rows`.
+fn load_chunk(bytes: &[u8], rows: &mut RowQueue) -> io::Result<()> {
+    for (key, range) in index_run(bytes)? {
+        let id = usize::try_from(key).map_err(|_| corrupt("frontier id overflows"))?;
+        rows.push_encoded(id, &bytes[range])
+            .map_err(|e| corrupt(format!("frontier state: {e}")))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -424,32 +435,61 @@ mod tests {
         assert!(merge_runs(Vec::new()).is_empty());
     }
 
+    /// Pushes `tiny_state(id)` onto the back of `frontier`.
+    fn push(frontier: &mut SpillFrontier, id: usize) -> io::Result<()> {
+        let state = tiny_state(id as i32);
+        frontier.push_back(id, state.words(), state.content_hash())
+    }
+
+    /// Pops the front state, checking it is `tiny_state` of its id.
+    fn pop(frontier: &mut SpillFrontier) -> Option<usize> {
+        let mut into = tiny_state(0);
+        let id = frontier.pop_front_into(&mut into).unwrap()?;
+        assert_eq!(into, tiny_state(id as i32));
+        Some(id)
+    }
+
     #[test]
     fn spill_frontier_preserves_fifo_order_across_chunks() {
         let fs = Arc::new(SimFs::new(11));
         // A 24-byte state with a 1-byte chunk cap: every push flushes.
         let mut frontier = SpillFrontier::new(fs.clone(), Path::new("/spill"), 1, 64).unwrap();
         for i in 0..20 {
-            frontier
-                .push_back(i, Rc::new(tiny_state(i as i32)))
-                .unwrap();
+            push(&mut frontier, i).unwrap();
         }
         assert_eq!(frontier.len(), 20);
         assert!(frontier.spilled_states() > 0);
         let snapshot = frontier.snapshot_states().unwrap();
         assert_eq!(snapshot.len(), 20);
+        for (i, (id, state)) in snapshot.iter().enumerate() {
+            assert_eq!((*id, state), (i, &tiny_state(i as i32)));
+        }
         // Rollback path: push_front must come out first.
-        frontier.push_front(99, Rc::new(tiny_state(99)));
+        let state = tiny_state(99);
+        frontier.push_front(99, state.words(), state.content_hash());
         let mut seen = Vec::new();
-        while let Some((id, state)) = frontier.pop_front().unwrap() {
-            assert_eq!(state.words()[0] as usize, id);
+        while let Some(id) = pop(&mut frontier) {
             seen.push(id);
         }
         let expected: Vec<usize> = std::iter::once(99).chain(0..20).collect();
         assert_eq!(seen, expected);
-        assert!(frontier.is_empty());
+        assert_eq!(frontier.len(), 0);
         // Consumed chunks are deleted from disk.
         assert!(fs.list(Path::new("/spill")).unwrap().is_empty());
+    }
+
+    #[test]
+    fn spill_frontier_chunks_are_runs_of_encoded_states() {
+        let fs = Arc::new(SimFs::new(14));
+        let mut frontier = SpillFrontier::new(fs.clone(), Path::new("/spill"), 1, 64).unwrap();
+        push(&mut frontier, 3).unwrap();
+        let chunk = fs.read(&frontier.chunk_path(0)).unwrap();
+        let entry = RunEntry {
+            key: 3,
+            payload: crate::snapshot::encode_state(&tiny_state(3)),
+        };
+        assert_eq!(chunk, encode_run(&[entry]));
+        assert_eq!(frontier.spill_bytes(), chunk.len());
     }
 
     #[test]
@@ -460,18 +500,15 @@ mod tests {
         let mut next_pop = 0usize;
         for round in 0..50 {
             for _ in 0..=(round % 3) {
-                frontier
-                    .push_back(next_push, Rc::new(tiny_state(next_push as i32)))
-                    .unwrap();
+                push(&mut frontier, next_push).unwrap();
                 next_push += 1;
             }
             if round % 2 == 0 {
-                let (id, _) = frontier.pop_front().unwrap().unwrap();
-                assert_eq!(id, next_pop, "FIFO order broken");
+                assert_eq!(pop(&mut frontier), Some(next_pop), "FIFO order broken");
                 next_pop += 1;
             }
         }
-        while let Some((id, _)) = frontier.pop_front().unwrap() {
+        while let Some(id) = pop(&mut frontier) {
             assert_eq!(id, next_pop);
             next_pop += 1;
         }
@@ -483,11 +520,11 @@ mod tests {
         let fs = Arc::new(SimFs::new(13));
         {
             let mut old = SpillFrontier::new(fs.clone(), Path::new("/spill"), 1, 64).unwrap();
-            old.push_back(0, Rc::new(tiny_state(0))).unwrap();
+            push(&mut old, 0).unwrap();
             assert!(!fs.list(Path::new("/spill")).unwrap().is_empty());
         }
         let fresh = SpillFrontier::new(fs.clone(), Path::new("/spill"), 1, 64).unwrap();
-        assert!(fresh.is_empty());
+        assert_eq!(fresh.len(), 0);
         assert!(fs.list(Path::new("/spill")).unwrap().is_empty());
     }
 }

@@ -106,7 +106,7 @@ pub use program::{
     NativeGuard, NativeOp, ProcId, ProcessBuilder, ProcessDef, Program, ProgramBuilder, RecvPolicy,
     Transition,
 };
-pub use rng::{fnv64, mix64, SplitMix64};
+pub use rng::{checksum64, fnv64, mix64, SplitMix64};
 pub use signals::{cancel_on_termination, watch_termination, TerminationFlag};
 pub use sim::{SimObservation, SimReport, Simulator};
 pub use snapshot::{

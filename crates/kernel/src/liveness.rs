@@ -254,6 +254,12 @@ pub(crate) fn next_counter(
 /// [`SysStore::succ`] of a state whose successors are not computed yet.
 const UNEXPANDED: (usize, usize) = (usize::MAX, 0);
 
+/// [`SysStore::succ`] of a state with enabled steps whose every successor
+/// was refused (by `max_states` or a cancellation): it has no successors
+/// in the truncated product, and it is not terminal, so it gets no
+/// stutter loop either.
+const REFUSED: (usize, usize) = (usize::MAX, usize::MAX);
+
 /// The edge reference of a stutter step (no system step is taken).
 const STUTTER: usize = usize::MAX;
 
@@ -297,8 +303,8 @@ impl PackedStep {
 struct SysStore {
     arena: StateArena,
     /// Per state, its successors as `edges[start..end]`, or
-    /// [`UNEXPANDED`]. An empty range means the state is terminal
-    /// (stutter applies).
+    /// [`UNEXPANDED`], or [`REFUSED`]. An empty range means the state is
+    /// terminal (stutter applies).
     succ: Vec<(usize, usize)>,
     /// System edges: the step taken and the successor's id.
     edges: Vec<(PackedStep, u32)>,
@@ -509,6 +515,12 @@ impl ProductGraph<'_> {
             }
         }
         let range = (start, self.sys.edges.len());
+        // Only a state with no enabled step is terminal.
+        let range = if range.0 == range.1 && !self.steps.is_empty() {
+            REFUSED
+        } else {
+            range
+        };
         self.sys.succ[sys as usize] = range;
         Ok(range)
     }
@@ -555,7 +567,9 @@ impl ProductGraph<'_> {
         let (sys, b, k) = self.node(key);
         let source_accepting = self.accepting[b];
         let (start, end) = self.sys_successors(sys)?;
-        if start == end {
+        if (start, end) == REFUSED {
+            // Truncated here: no successors.
+        } else if start == end {
             // Stutter extension: self-loop on the terminal system state.
             // No process moves, but none is enabled either, so the fairness
             // counters pass straight through.
@@ -728,7 +742,7 @@ pub(crate) fn check_ltl_sequential(
             && props.iter().all(|p| p.predicate.is_expr_only()))
         .then(|| LocalLocations::analyze(program)),
         sys: SysStore {
-            arena: StateArena::new(program.layout.words()),
+            arena: StateArena::new(),
             succ: Vec::new(),
             edges: Vec::new(),
             labels: Vec::new(),

@@ -158,6 +158,9 @@ impl SharedSearch<'_> {
 struct Expanded {
     succ: Vec<(Step, usize)>,
     enabled: Vec<bool>,
+    /// No step is enabled (stutter applies). A state whose successors
+    /// were all refused by the budget has none, and is not terminal.
+    terminal: bool,
 }
 
 /// Worker-local view of the product: per-worker memo caches over the
@@ -269,6 +272,7 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         if let Some(analysis) = &self.shared.reduction {
             ample_subset(analysis, program, &state, &mut self.steps);
         }
+        let terminal = self.steps.is_empty();
         let mut succ = Vec::with_capacity(self.steps.len());
         for &step in &self.steps {
             apply_step_into(program, &state, step, &mut self.scratch, None)?;
@@ -276,7 +280,11 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
                 succ.push((step, next));
             }
         }
-        let rc = Arc::new(Expanded { succ, enabled });
+        let rc = Arc::new(Expanded {
+            succ,
+            enabled,
+            terminal,
+        });
         self.succ.insert(sys, Arc::clone(&rc));
         Ok(rc)
     }
@@ -317,7 +325,7 @@ impl<'a, 'p> WorkerCtx<'a, 'p> {
         debug_assert!(out.is_empty());
         let source_accepting = self.shared.accepting[b];
         let expanded = self.sys_successors(sys)?;
-        if expanded.succ.is_empty() {
+        if expanded.terminal {
             // Stutter extension, exactly as in the sequential product.
             let k2 = self.counter(&expanded.enabled, k, source_accepting, &[]);
             let labels = self.labels_of(sys)?;

@@ -72,7 +72,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// bytes in through [`mix64`], itself a bijection. So any change confined
 /// to one word (a bit flip, a torn byte) always changes the checksum;
 /// wider damage is caught with the odds of any 64-bit checksum.
-pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
+pub fn checksum64(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     fn step(lane: u64, word: &[u8]) -> u64 {
         let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));

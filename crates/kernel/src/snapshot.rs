@@ -485,33 +485,65 @@ pub fn load_snapshot(path: impl AsRef<std::path::Path>) -> Result<Snapshot, Snap
     Snapshot::decode(&bytes)
 }
 
-/// Encodes one state with the snapshot state codec. The out-of-core run
-/// files ([`crate::extmem`]) reuse this so a state has exactly one byte
-/// representation across every on-disk structure.
+/// One state's encoding, in a fresh buffer.
+#[cfg(test)]
 pub(crate) fn encode_state(state: &State) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_state_len(state));
-    encode_state_into(state, &mut out);
+    let mut out = Vec::with_capacity(encoded_words_len(state.words().len()));
+    append_words(state.words(), &mut out);
     out
 }
 
-/// [`encode_state`] into a caller-owned buffer, replacing its contents, so
-/// a hot probe loop can reuse one allocation.
-pub(crate) fn encode_state_into(state: &State, out: &mut Vec<u8>) {
+/// [`append_words`] into a caller-owned buffer, replacing its contents,
+/// so a hot probe loop can reuse one allocation.
+pub(crate) fn encode_words_into(words: &[i32], out: &mut Vec<u8>) {
     out.clear();
+    append_words(words, out);
+}
+
+/// Appends the state codec's encoding of the state with these words (a
+/// row of a row store, or a [`State`]'s words) to `out`. The out-of-core
+/// run files ([`crate::extmem`]) reuse this codec, so a state has exactly
+/// one byte representation across every on-disk structure.
+pub(crate) fn append_words(words: &[i32], out: &mut Vec<u8>) {
     let mut w = Writer {
         out: std::mem::take(out),
     };
-    w.state(state);
+    w.words(words);
     *out = w.out;
 }
 
-/// The length of [`encode_state`]'s output, without encoding.
-pub(crate) fn encoded_state_len(state: &State) -> usize {
-    8 + 4 * state.words().len()
+/// The length of the encoding of a state of `words` words.
+pub(crate) fn encoded_words_len(words: usize) -> usize {
+    8 + 4 * words
 }
 
-/// Decodes one state written by [`encode_state`], requiring the whole
-/// buffer to be consumed.
+/// Decodes the words of one state written by [`append_words`], appending
+/// them to `out` (a row store's word vector) without building a
+/// [`State`]. The whole buffer must be consumed; on error `out` is
+/// unchanged.
+pub(crate) fn decode_state_into(bytes: &[u8], out: &mut Vec<i32>) -> Result<(), SnapshotError> {
+    let mut r = Reader { bytes, pos: 0 };
+    let n_words = r.usize()?;
+    let len = n_words.checked_mul(4).ok_or(SnapshotError::Truncated)?;
+    let body = &bytes[r.pos..];
+    if body.len() < len {
+        return Err(SnapshotError::Truncated);
+    }
+    if body.len() > len {
+        return Err(SnapshotError::Corrupted(format!(
+            "{} trailing bytes after state",
+            body.len() - len
+        )));
+    }
+    out.extend(
+        body.chunks_exact(4)
+            .map(|b| i32::from_le_bytes(b.try_into().unwrap())),
+    );
+    Ok(())
+}
+
+/// Decodes one state, requiring the whole buffer to be consumed.
+#[cfg(test)]
 pub(crate) fn decode_state(bytes: &[u8]) -> Result<State, SnapshotError> {
     let mut r = Reader { bytes, pos: 0 };
     let state = r.state()?;
@@ -576,8 +608,12 @@ impl Writer {
     }
 
     fn state(&mut self, state: &State) {
-        self.u64(state.words().len() as u64);
-        for &v in state.words() {
+        self.words(state.words());
+    }
+
+    fn words(&mut self, words: &[i32]) {
+        self.u64(words.len() as u64);
+        for &v in words {
             self.i32(v);
         }
     }

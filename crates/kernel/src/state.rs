@@ -308,6 +308,11 @@ pub(crate) fn words_hash(words: &[i32], seed: u64) -> u64 {
     mix64(h)
 }
 
+/// The hash a state with these words carries.
+pub(crate) fn state_hash(words: &[i32]) -> u64 {
+    words_hash(words, STATE_SEED)
+}
+
 /// A global system state: the words laid out by the program's layout,
 /// and their hash.
 ///
@@ -328,7 +333,7 @@ impl State {
     }
 
     pub(crate) fn from_words(words: Box<[i32]>) -> State {
-        let hash = words_hash(&words, STATE_SEED);
+        let hash = state_hash(&words);
         State { words, hash }
     }
 
@@ -345,7 +350,7 @@ impl State {
     /// and the hash a state with those words carries (as a
     /// [`crate::arena::StateArena`] row keeps it).
     pub(crate) fn load(&mut self, words: &[i32], hash: u64) {
-        debug_assert_eq!(hash, words_hash(words, STATE_SEED));
+        debug_assert_eq!(hash, state_hash(words));
         self.words.copy_from_slice(words);
         self.hash = hash;
     }

@@ -33,13 +33,13 @@ use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::arena::{Interned, StateArena};
 use crate::extmem::{decode_run, encode_run, index_run, merge_runs, RunEntry};
 use crate::rng::{mix64, SplitMix64};
-use crate::snapshot::{encode_state, encode_state_into};
+use crate::snapshot::{append_words, encode_words_into, encoded_words_len};
 use crate::state::{words_hash, State, StateHasher};
 use crate::vfs::{commit_replace, VfsHandle};
 
@@ -196,14 +196,14 @@ impl fmt::Display for VisitedKind {
     }
 }
 
-/// What an `insert_if_new` did. `P` is the shared pointer the search
-/// keeps its states behind (`Rc` in the sequential kernel, `Arc` in the
-/// parallel one).
+/// What an `insert_if_new` did. `P` is what a backend hands back for a
+/// new state: nothing in the sequential kernel, which names a state by its
+/// discovery index and keeps its words in the exact backend's arena or in
+/// the frontier's rows; the interned `Arc` copy in the parallel one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Insert<P> {
+pub enum Insert<P = ()> {
     /// The state was new and is now a member (for the parallel kernel,
-    /// one budget slot was consumed). The pointer is the interned copy,
-    /// the only copy of the state an insert makes.
+    /// one budget slot was consumed).
     Inserted(P),
     /// The state was already a member (or, for a lossy backend, collided
     /// with one); nothing was allocated and the budget is untouched.
@@ -230,21 +230,22 @@ pub trait VisitedSet {
     /// Interns `state` unless it is (believed to be) a member already.
     /// `room` says whether the state budget can take one more state;
     /// without it a new state is refused. The state is borrowed —
-    /// typically a reused scratch buffer — and copied only when it is new.
-    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert<Rc<State>> {
+    /// typically a reused scratch buffer — and copied only when it is new
+    /// and the backend keeps states.
+    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
         if self.contains(state) {
             return Insert::Duplicate;
         }
         if !room {
             return Insert::BudgetExhausted;
         }
-        Insert::Inserted(self.intern(state))
+        self.intern(state);
+        Insert::Inserted(())
     }
 
-    /// Records `state`, which is not a member yet, and returns the
-    /// search's own copy of it. Called by `insert_if_new` after the probe
-    /// and the budget check.
-    fn intern(&mut self, state: &State) -> Rc<State>;
+    /// Records `state`, which is not a member yet. Called by
+    /// `insert_if_new` after the probe and the budget check.
+    fn intern(&mut self, state: &State);
 
     /// Number of states inserted.
     fn len(&self) -> usize;
@@ -266,9 +267,15 @@ pub trait VisitedSet {
     fn omission_probability(&self) -> f64;
 }
 
-/// The precise backend: every state payload is stored.
+/// The precise backend: every state is stored, as a row of a
+/// [`StateArena`] whose row ids are the states' discovery indexes. One
+/// probe decides membership and appends a new state.
+///
+/// Rows have one width, fixed by the first state inserted: every state of
+/// one program has its layout's width. Inserting a new state of another
+/// width panics.
 pub struct ExactVisited {
-    set: HashSet<Rc<State>, StateHasher>,
+    arena: StateArena,
     per_state_bytes: usize,
 }
 
@@ -276,36 +283,46 @@ impl ExactVisited {
     /// An empty exact set; `per_state_bytes` is the caller's estimate of
     /// the full cost of one stored state (payload plus container overhead).
     pub fn new(per_state_bytes: usize) -> ExactVisited {
+        ExactVisited::from_arena(StateArena::new(), per_state_bytes)
+    }
+
+    /// The set of the states in `arena`.
+    pub(crate) fn from_arena(arena: StateArena, per_state_bytes: usize) -> ExactVisited {
         ExactVisited {
-            set: HashSet::default(),
+            arena,
             per_state_bytes,
         }
     }
 
-    /// The stored states, in hash-set order (the caller sorts if it needs
-    /// determinism). Used by the explorer's mid-run spill transition.
-    pub(crate) fn states(&self) -> impl Iterator<Item = &Rc<State>> {
-        self.set.iter()
+    /// The stored states, by discovery index.
+    pub(crate) fn arena(&self) -> &StateArena {
+        &self.arena
     }
 }
 
 impl VisitedSet for ExactVisited {
     fn contains(&self, state: &State) -> bool {
-        self.set.contains(state)
+        self.arena.find(state).is_some()
     }
 
-    fn intern(&mut self, state: &State) -> Rc<State> {
-        let interned = Rc::new(state.clone());
-        self.set.insert(Rc::clone(&interned));
-        interned
+    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
+        match self.arena.intern(state, |_| room) {
+            Interned::Old(_) => Insert::Duplicate,
+            Interned::New(_) => Insert::Inserted(()),
+            Interned::Refused => Insert::BudgetExhausted,
+        }
+    }
+
+    fn intern(&mut self, state: &State) {
+        self.arena.intern(state, |_| true);
     }
 
     fn len(&self) -> usize {
-        self.set.len()
+        self.arena.len()
     }
 
     fn approx_bytes(&self) -> usize {
-        self.set.len() * self.per_state_bytes
+        self.arena.len() * self.per_state_bytes
     }
 
     fn kind(&self) -> VisitedKind {
@@ -359,9 +376,8 @@ impl VisitedSet for CompactVisited {
         self.hashes.contains(&words_hash(state.words(), self.seed))
     }
 
-    fn intern(&mut self, state: &State) -> Rc<State> {
+    fn intern(&mut self, state: &State) {
         self.hashes.insert(words_hash(state.words(), self.seed));
-        Rc::new(state.clone())
     }
 
     fn len(&self) -> usize {
@@ -437,18 +453,20 @@ impl BitstateVisited {
         (&self.arena, self.inserted)
     }
 
-    /// The `k` bit indices for a state (double hashing: `h1 + i·h2`).
-    fn bit_indices(&self, state: &State) -> impl Iterator<Item = u64> + use<> {
-        let h1 = words_hash(state.words(), self.seed1);
-        let h2 = words_hash(state.words(), self.seed2) | 1; // odd: full period
+    /// The `k` bit indices for a state's words (double hashing:
+    /// `h1 + i·h2`).
+    fn bit_indices(&self, words: &[i32]) -> impl Iterator<Item = u64> + use<> {
+        let h1 = words_hash(words, self.seed1);
+        let h2 = words_hash(words, self.seed2) | 1; // odd: full period
         let bits = self.bits;
         (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % bits)
     }
 
-    /// Sets the state's bits, counting it when any bit was still clear.
-    fn set_bits(&mut self, state: &State) {
+    /// Sets the bits of the state with these words, counting it when any
+    /// bit was still clear.
+    fn set_bits(&mut self, words: &[i32]) {
         let mut fresh = false;
-        for bit in self.bit_indices(state) {
+        for bit in self.bit_indices(words) {
             let word = &mut self.arena[(bit / 64) as usize];
             let mask = 1u64 << (bit % 64);
             fresh |= *word & mask == 0;
@@ -462,13 +480,12 @@ impl BitstateVisited {
 
 impl VisitedSet for BitstateVisited {
     fn contains(&self, state: &State) -> bool {
-        self.bit_indices(state)
+        self.bit_indices(state.words())
             .all(|bit| self.arena[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
     }
 
-    fn intern(&mut self, state: &State) -> Rc<State> {
-        self.set_bits(state);
-        Rc::new(state.clone())
+    fn intern(&mut self, state: &State) {
+        self.set_bits(state.words());
     }
 
     fn len(&self) -> usize {
@@ -720,14 +737,15 @@ impl DiskExactVisited {
         Ok(())
     }
 
-    /// Adds a state known not to be a member, without probing (rebuilding
-    /// from a snapshot, or moving an exact set out of core). A failed
-    /// flush is parked like every other I/O error.
-    pub(crate) fn insert_new(&mut self, state: &State) {
-        self.bloom.set_bits(state);
-        let hash = state.content_hash();
+    /// Adds the state with these words and carried hash, known not to be
+    /// a member, without probing (interning a new state, rebuilding from a
+    /// snapshot, or moving an exact set out of core). A failed flush is
+    /// parked like every other I/O error.
+    pub(crate) fn insert_new(&mut self, words: &[i32], hash: u64) {
+        self.bloom.set_bits(words);
         let part = hash as usize & (DISK_PARTITIONS - 1);
-        let payload = encode_state(state);
+        let mut payload = Vec::with_capacity(encoded_words_len(words.len()));
+        append_words(words, &mut payload);
         let slot = &mut self.parts[part];
         slot.buf_bytes += payload.len() + 24;
         slot.buf.entry(hash).or_default().push(payload);
@@ -775,7 +793,7 @@ impl VisitedSet for DiskExactVisited {
         let hash = state.content_hash();
         let part = hash as usize & (DISK_PARTITIONS - 1);
         let mut payload = self.scratch.borrow_mut();
-        encode_state_into(state, &mut payload);
+        encode_words_into(state.words(), &mut payload);
         if let Some(candidates) = self.parts[part].buf.get(&hash) {
             if candidates.contains(&*payload) {
                 return true;
@@ -804,19 +822,19 @@ impl VisitedSet for DiskExactVisited {
     /// answers [`Insert::Duplicate`] without inserting: a conservative
     /// "new" could double-count the state. The caller then drains the
     /// error with [`DiskExactVisited::take_error`].
-    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert<Rc<State>> {
+    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
         if self.contains(state) || self.pending.get_mut().is_some() {
             return Insert::Duplicate;
         }
         if !room {
             return Insert::BudgetExhausted;
         }
-        Insert::Inserted(self.intern(state))
+        self.intern(state);
+        Insert::Inserted(())
     }
 
-    fn intern(&mut self, state: &State) -> Rc<State> {
-        self.insert_new(state);
-        Rc::new(state.clone())
+    fn intern(&mut self, state: &State) {
+        self.insert_new(state.words(), state.content_hash());
     }
 
     fn len(&self) -> usize {
@@ -898,11 +916,17 @@ impl VisitedSet for AnyVisited {
         self.inner().contains(state)
     }
 
-    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert<Rc<State>> {
-        self.inner_mut().insert_if_new(state, room)
+    /// Dispatched statically: this is the search's per-successor call.
+    fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
+        match self {
+            AnyVisited::Exact(s) => s.insert_if_new(state, room),
+            AnyVisited::Compact(s) => s.insert_if_new(state, room),
+            AnyVisited::Bitstate(s) => s.insert_if_new(state, room),
+            AnyVisited::Disk(s) => s.insert_if_new(state, room),
+        }
     }
 
-    fn intern(&mut self, state: &State) -> Rc<State> {
+    fn intern(&mut self, state: &State) {
         self.inner_mut().intern(state)
     }
 
@@ -1451,19 +1475,13 @@ mod tests {
         ];
         for mut set in backends {
             assert!(!set.contains(&a), "{} starts empty", set.kind());
-            assert_eq!(
-                set.insert_if_new(&a, true),
-                Insert::Inserted(Rc::new(a.clone()))
-            );
+            assert_eq!(set.insert_if_new(&a, true), Insert::Inserted(()));
             assert!(set.contains(&a), "{} remembers inserts", set.kind());
             assert_eq!(set.insert_if_new(&a, true), Insert::Duplicate);
             assert!(!set.contains(&b), "{} distinguishes states", set.kind());
             assert_eq!(set.insert_if_new(&b, false), Insert::BudgetExhausted);
             assert!(!set.contains(&b), "{} refuses past the budget", set.kind());
-            assert_eq!(
-                set.insert_if_new(&b, true),
-                Insert::Inserted(Rc::new(b.clone()))
-            );
+            assert_eq!(set.insert_if_new(&b, true), Insert::Inserted(()));
             assert_eq!(set.len(), 2, "{} counts inserts", set.kind());
             assert!(set.approx_bytes() > 0);
         }

@@ -16,6 +16,13 @@
 //!   `p` of the form `g0 == v` (the nested-DFS liveness search, at one
 //!   thread, with partial-order reduction off and on).
 //!
+//! Every other backend of the sequential search is held to the oracle too,
+//! at one thread with POR off: the out-of-core backend and an exact search
+//! that spills at once must reach the same number of states and the same
+//! deadlock verdict, and the lossy backends (compact, bitstate) may omit
+//! states but never cover more than the oracle or report a deadlock it
+//! lacks.
+//!
 //! The liveness verdicts need no automaton. Every move advances a
 //! process, so every run ends, and the kernel extends a run that ends by
 //! stuttering in its last state forever. `[] <> p` is therefore violated
@@ -36,9 +43,11 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use common::{arb_move, build_program, Move, RvPat, CHANNEL_CAPACITY};
+use std::sync::Arc;
+
 use pnp_kernel::{
     expr, Checker, Fairness, Predicate, Program, Proposition, SafetyChecks, SafetyOutcome,
-    SearchConfig, VisitedKind,
+    SearchConfig, SimFs, VfsHandle, VisitedKind,
 };
 
 /// The oracle's global state. Process `i` is at move `pcs[i]`; it has
@@ -261,6 +270,7 @@ fn agree(procs: &[Vec<Move>]) -> Result<(), String> {
             }
         }
     }
+    backends_agree(&program, &reference)?;
     for partial_order_reduction in [false, true] {
         let kernel = Checker::with_config(
             &program,
@@ -296,6 +306,85 @@ fn agree(procs: &[Vec<Move>]) -> Result<(), String> {
                     ));
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// The sequential search under every other visited backend against the
+/// oracle: exact counts and verdicts where membership is exact, bounds
+/// where it is lossy.
+fn backends_agree(program: &Program, reference: &Reference) -> Result<(), String> {
+    let exact = [
+        (
+            "disk",
+            SearchConfig {
+                visited: VisitedKind::DiskExact,
+                ..SearchConfig::default()
+            },
+        ),
+        (
+            "spill at 1 byte",
+            SearchConfig {
+                spill_at_bytes: Some(1),
+                ..SearchConfig::default()
+            },
+        ),
+    ];
+    let lossy = [
+        (
+            "compact",
+            SearchConfig {
+                visited: VisitedKind::Compact,
+                ..SearchConfig::default()
+            },
+        ),
+        (
+            "bitstate",
+            SearchConfig {
+                visited: VisitedKind::bitstate(1 << 12),
+                ..SearchConfig::default()
+            },
+        ),
+    ];
+    let checks = SafetyChecks::deadlock_only();
+    for (is_exact, (name, config)) in exact
+        .into_iter()
+        .map(|case| (true, case))
+        .chain(lossy.into_iter().map(|case| (false, case)))
+    {
+        let kernel = Checker::with_config(
+            program,
+            SearchConfig {
+                partial_order_reduction: false,
+                threads: 1,
+                ..config
+            },
+        )
+        .spill_to(Arc::new(SimFs::new(5)) as VfsHandle, "/spill");
+        let states = kernel.state_space_size().unwrap().unique_states;
+        let outcome = kernel.check_safety(&checks).unwrap().outcome;
+        let deadlock = matches!(outcome, SafetyOutcome::Deadlock { .. });
+        let agrees = if is_exact {
+            states == reference.states
+                && deadlock == reference.deadlock
+                && (deadlock || outcome.is_holds())
+        } else {
+            let covered = match outcome {
+                SafetyOutcome::HoldsApprox { states_visited, .. } => states_visited,
+                _ => 0,
+            };
+            states <= reference.states
+                && covered <= reference.states
+                && (deadlock || matches!(outcome, SafetyOutcome::HoldsApprox { .. }))
+                && (!deadlock || reference.deadlock)
+        };
+        if !agrees {
+            return Err(format!(
+                "{name}: kernel reached {states} states with {outcome:?}; oracle {} states, \
+                 deadlock = {}",
+                reference.states, reference.deadlock
+            ));
         }
     }
     Ok(())

@@ -159,3 +159,117 @@ fn parser_never_panics_on_garbage() {
         let _ = compile(source); // must return Err, not panic
     }
 }
+
+/// The snapshot a sequential search of `wire.pnp` flushes when it trips
+/// `max_states`, pinned byte for byte under every visited backend and
+/// under a mid-run spill. Only `elapsed_nanos` depends on the clock, so it
+/// is zeroed before hashing; the trailing checksum covers it and is left
+/// out. The snapshots of the backends no other test resumes must also
+/// resume to the uninterrupted run's totals.
+#[test]
+fn wire_snapshots_encode_identically_and_resume() {
+    use pnp_kernel::{
+        checksum64, Checker, SafetyChecks, SearchConfig, SimFs, Snapshot, VfsHandle, VisitedKind,
+    };
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    let spec = compile(WIRE).unwrap();
+    let program = spec.system().program();
+    let checks = SafetyChecks::deadlock_only();
+    let cases: [(&str, SearchConfig, bool, u64); 5] = [
+        (
+            "exact",
+            SearchConfig::default(),
+            false,
+            0x1d3d_c3d1_ac12_97d7,
+        ),
+        (
+            "compact",
+            SearchConfig {
+                visited: VisitedKind::Compact,
+                ..SearchConfig::default()
+            },
+            true,
+            0x332a_b2f5_b148_ea16,
+        ),
+        (
+            "bitstate",
+            SearchConfig {
+                visited: VisitedKind::bitstate(1 << 10),
+                ..SearchConfig::default()
+            },
+            true,
+            0x7c66_44cc_350f_04b0,
+        ),
+        (
+            "disk",
+            SearchConfig {
+                visited: VisitedKind::DiskExact,
+                ..SearchConfig::default()
+            },
+            true,
+            0x5171_8040_ee6a_44b2,
+        ),
+        (
+            "spill",
+            SearchConfig {
+                spill_at_bytes: Some(1),
+                ..SearchConfig::default()
+            },
+            false,
+            0xde06_8e36_1b48_eedb,
+        ),
+    ];
+    for (name, config, resume, pinned) in cases {
+        let storage = || Arc::new(SimFs::new(7)) as VfsHandle;
+        let full = Checker::with_config(program, config)
+            .spill_to(storage(), "/spill")
+            .check_safety(&checks)
+            .unwrap();
+        let sink = Rc::new(RefCell::new(Vec::new()));
+        let tripped = Checker::with_config(
+            program,
+            SearchConfig {
+                max_states: full.stats.unique_states / 2,
+                ..config
+            },
+        )
+        .spill_to(storage(), "/spill")
+        .checkpoint_to(Rc::clone(&sink))
+        .check_safety(&checks)
+        .unwrap();
+        assert!(tripped.truncated, "{name}: {tripped}");
+        let mut bytes = sink.borrow().clone();
+        let snapshot = Snapshot::decode(&bytes).unwrap();
+        // magic, version, fingerprint, tag, backend, then four stats
+        // words before `elapsed_nanos`.
+        let backend = match snapshot.visited_kind() {
+            VisitedKind::Bitstate { .. } => 1 + 8 + 4,
+            _ => 1,
+        };
+        let at = 8 + 4 + 8 + 8 + snapshot.tag().len() + backend + 4 * 8;
+        bytes[at..at + 8].fill(0);
+        let hash = checksum64(&bytes[..bytes.len() - 8]);
+        assert_eq!(
+            hash, pinned,
+            "{name}: snapshot {hash:#018x}, pinned {pinned:#018x}"
+        );
+        if resume {
+            let resumed = Checker::resume_from(program, snapshot)
+                .unwrap()
+                .with_search_config(config)
+                .spill_to(storage(), "/spill")
+                .check_safety(&checks)
+                .unwrap();
+            assert_eq!(resumed.outcome, full.outcome, "{name}");
+            assert_eq!(
+                resumed.stats.unique_states, full.stats.unique_states,
+                "{name}"
+            );
+            assert_eq!(resumed.stats.steps, full.stats.steps, "{name}");
+            assert_eq!(resumed.stats.max_depth, full.stats.max_depth, "{name}");
+        }
+    }
+}

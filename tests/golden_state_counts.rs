@@ -397,7 +397,9 @@ fn ltl_budget_and_cancellation_report_a_partial_holds() {
     // A state budget or a cancellation stops the sequential nested DFS
     // from interning new system states; it finishes over what it has and
     // reports `truncated`, never a proof. The counts reached at each cap
-    // are pinned like the full products above.
+    // are pinned like the full products above. A state whose successors
+    // were all refused has no edges (it is not terminal, so it gets no
+    // stutter loop).
     let cfg = BridgeConfig::fixed().with_laps(Some(1));
     let system = exactly_n_bridge(&cfg).unwrap();
     let program = system.program();
@@ -405,9 +407,9 @@ fn ltl_budget_and_cancellation_report_a_partial_holds() {
     let props = vec![Proposition::new("safe", safe)];
     let formula = pnp_ltl::parse("[] safe").unwrap();
     let capped = [
-        (Fairness::Weak, 50, 50, 82),
+        (Fairness::Weak, 50, 50, 79),
         (Fairness::Weak, 500, 500, 1210),
-        (Fairness::None, 500, 500, 817),
+        (Fairness::None, 500, 500, 785),
     ];
     for (fairness, max_states, nodes, edges) in capped {
         let report = Checker::with_config(
@@ -427,7 +429,7 @@ fn ltl_budget_and_cancellation_report_a_partial_holds() {
     }
 
     // Cancelled before it starts, the search still interns the initial
-    // state (its root) and nothing after it.
+    // state (its root) and nothing after it, so it explores no edge.
     for fairness in [Fairness::Weak, Fairness::None] {
         let token = CancelToken::new();
         token.cancel();
@@ -442,7 +444,54 @@ fn ltl_budget_and_cancellation_report_a_partial_holds() {
         );
         assert!(report.truncated, "{fairness:?}: not truncated");
         assert_eq!(report.stats.unique_states, 1, "{fairness:?}");
-        assert_eq!(report.stats.steps, 1, "{fairness:?}");
+        assert_eq!(report.stats.steps, 0, "{fairness:?}");
+    }
+}
+
+#[test]
+fn truncated_liveness_never_stutters_at_a_refused_state() {
+    // The starvation lasso's system: its initial state has enabled steps
+    // and `blue_on` false there. A budget of one state, or a cancellation
+    // before the start, refuses every successor of that state. It must
+    // not then look terminal: a stutter loop on it would be a run that
+    // never turns blue, and `[] <> blue_on` would be reported violated by
+    // a lasso the system cannot take.
+    let cfg = BridgeConfig::fixed().with_cars(1, 0).with_laps(None);
+    let system = exactly_n_bridge(&cfg).unwrap();
+    let program = system.program();
+    let props = side_props(program);
+    let formula = pnp_ltl::parse("[] <> blue_on").unwrap();
+    for threads in [1, 2] {
+        let config = SearchConfig {
+            threads,
+            ..SearchConfig::default()
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        let runs = [
+            (
+                "max_states = 1",
+                Checker::with_config(
+                    program,
+                    SearchConfig {
+                        max_states: 1,
+                        ..config
+                    },
+                ),
+            ),
+            (
+                "pre-cancelled",
+                Checker::with_config(program, config).with_cancellation(token),
+            ),
+        ];
+        for (what, checker) in runs {
+            let report = checker
+                .check_ltl_with(&formula, &props, Fairness::None)
+                .unwrap();
+            let at = format!("{what} at {threads} threads");
+            assert!(report.outcome.is_holds(), "{at}: {:?}", report.outcome);
+            assert!(report.truncated, "{at}: not truncated");
+        }
     }
 }
 
