@@ -277,8 +277,8 @@ fn e15_parallel_scaling() {
         }
     }
     println!(
-        "(states are identical at every thread count — the parallel kernel explores the same \
-         reduced graph; speedup is wall-clock vs the 1-thread row on this host)"
+        "(states are identical at every thread count — only the expansions run on several \
+         threads; speedup is wall-clock vs the 1-thread row on this host)"
     );
     println!();
 }

@@ -130,9 +130,8 @@ pub fn verify_bridge_with_backend(
 }
 
 /// Verifies the bridge safety property with `threads` worker threads (POR
-/// on, exact backend). `threads == 1` is the sequential kernel; any other
-/// count runs the level-synchronised parallel search, which reports the
-/// same verdict and — for exhaustive runs — the same state counts.
+/// on, exact backend). Any other count than 1 expands the search's states
+/// on that many threads and reports the same verdict, trace and counts.
 pub fn verify_bridge_threads(system: &System, threads: usize) -> (SafetyOutcome, SearchStats) {
     let program = system.program();
     let report = Checker::with_config(

@@ -12,8 +12,8 @@
 //! it already holds.
 //!
 //! The sequential nested-DFS liveness search keeps its system states in an
-//! arena, and so does the exact backend of the sequential BFS, whose row
-//! ids are its state ids. [`RowQueue`] is the BFS frontier of the backends
+//! arena, and so does the exact backend of the BFS safety search, whose
+//! row ids are its state ids. [`RowQueue`] is the BFS frontier of the backends
 //! that keep no states of their own (the lossy and disk ones).
 
 use crate::snapshot::{decode_state_into, SnapshotError};

@@ -8,15 +8,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::arena::{Interned, RowQueue, StateArena};
 use crate::expression::{EvalCtx, Expr};
 use crate::extmem::SpillFrontier;
 use crate::program::Program;
+use crate::reduction::{ample_subset, LocalLocations};
 use crate::snapshot::{
-    program_fingerprint, SnapStats, Snapshot, SnapshotError, SnapshotSink, VisitedPayload,
+    program_fingerprint, SearchImage, SnapStats, Snapshot, SnapshotError, SnapshotSink,
+    VisitedPayload,
 };
 use crate::state::{
     apply_step, apply_step_into, enabled_steps, enabled_steps_into, is_valid_end_state,
@@ -241,28 +244,28 @@ pub struct SearchConfig {
     pub visited: VisitedKind,
     /// Number of worker threads for the safety search (default 1).
     ///
-    /// `0` or `1` runs the exact sequential kernel. Larger values run a
-    /// level-synchronized parallel BFS with per-worker work-stealing
-    /// deques over a sharded visited set: the verdict is always identical
-    /// to the sequential one, and for a completed exhaustive run so are
-    /// `unique_states`, `steps`, and `max_depth` (see the crate docs for
-    /// which report fields may vary). LTL checking
+    /// `0` or `1` expands one state at a time on the calling thread and
+    /// spawns none. Larger values take the frontier a round of states at a
+    /// time, expand the round's states on that many threads, and then
+    /// commit the expansions one by one in queue order through the same
+    /// code: every state id, parent link, counterexample and counter
+    /// except `elapsed` and `approx_memory_bytes` is the one-thread run's.
+    /// Only the budget, spill and checkpoint checks coarsen, to once per
+    /// round; every visited backend, spilling, checkpoints and resume
+    /// work at any thread count. LTL checking
     /// ([`Checker::check_ltl`]) runs a swarmed CNDFS acceptance-cycle
     /// search at `threads > 1`: the verdict always matches the sequential
     /// nested DFS (every parallel-found lasso is replay-validated before
     /// it is reported; see [`crate::LtlReport::fallback`]), while the stats
     /// fields reflect whichever worker interleaving won.
-    /// The out-of-core backend
-    /// ([`VisitedKind::DiskExact`]) is also sequential: it routes to the
-    /// sequential kernel regardless of this setting.
     pub threads: usize,
     /// Memory-pressure spill threshold in bytes (default none). When the
     /// estimated footprint crosses it, the search moves its in-RAM exact
     /// visited set and frontier to the out-of-core structures *mid-run*
     /// (the [`VisitedKind::DiskExact`] backend plus a spilled frontier)
     /// instead of tripping [`SafetyOutcome::LimitReached`]. With a lossy
-    /// visited backend only the frontier can spill. Ignored by the
-    /// parallel kernel.
+    /// visited backend only the frontier can spill. At `threads > 1` the
+    /// threshold is checked once per round of states.
     pub spill_at_bytes: Option<usize>,
 }
 
@@ -537,8 +540,7 @@ impl fmt::Display for SafetyReport {
 }
 
 /// What evaluating the invariants at one state produced.
-#[derive(Clone)]
-pub(crate) enum InvariantHit {
+enum InvariantHit {
     /// Some invariant is false there.
     Violated(String),
     /// Some native predicate panicked there.
@@ -553,7 +555,7 @@ pub(crate) enum InvariantHit {
 /// Evaluates every invariant at one state; `Some` when one is violated or
 /// its native predicate panicked (the panic is caught and isolated to a
 /// [`SafetyOutcome::PredicateError`] instead of unwinding the search).
-pub(crate) fn eval_invariants(
+fn eval_invariants(
     checks: &SafetyChecks,
     view: &StateView<'_>,
 ) -> Result<Option<InvariantHit>, KernelError> {
@@ -574,7 +576,7 @@ pub(crate) fn eval_invariants(
 }
 
 /// Converts an [`InvariantHit`] plus its counterexample into an outcome.
-pub(crate) fn hit_outcome(hit: InvariantHit, trace: Trace) -> SafetyOutcome {
+fn hit_outcome(hit: InvariantHit, trace: Trace) -> SafetyOutcome {
     match hit {
         InvariantHit::Violated(name) => SafetyOutcome::InvariantViolated { name, trace },
         InvariantHit::Panicked { name, message } => SafetyOutcome::PredicateError {
@@ -591,7 +593,7 @@ pub(crate) fn hit_outcome(hit: InvariantHit, trace: Trace) -> SafetyOutcome {
 /// replay must land exactly on `expect` — `Ok(None)` means the chain does
 /// not replay (a hash-collision artifact) and the finding must be
 /// dropped, so lossy backends never report a false alarm.
-pub(crate) fn rebuild_trace(
+fn rebuild_trace(
     program: &Program,
     parents: &[Option<(usize, Step)>],
     id: usize,
@@ -644,7 +646,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// carried hash and about 12 bytes of id table per row), but re-billing
 /// would move every memory-budget trip and spill point, so it waits for
 /// the benchmark's spill budget to be chosen again.
-pub(crate) fn approx_state_bytes(program: &Program) -> usize {
+fn approx_state_bytes(program: &Program) -> usize {
     use std::mem::size_of;
     let words = program.layout.words() * size_of::<i32>();
     let state = size_of::<State>() + 2 * size_of::<usize>();
@@ -656,7 +658,7 @@ pub(crate) fn approx_state_bytes(program: &Program) -> usize {
 /// Captures the visited-set backend's content for a snapshot. Exact sets
 /// serialize nothing — their content is reconstructed from the parent links
 /// on resume, which is smaller and self-validating.
-pub(crate) fn visited_payload(visited: &AnyVisited) -> VisitedPayload {
+fn visited_payload(visited: &AnyVisited) -> VisitedPayload {
     match visited {
         AnyVisited::Exact(_) | AnyVisited::Disk(_) => VisitedPayload::Exact,
         AnyVisited::Compact(set) => VisitedPayload::Compact(set.snapshot_hashes()),
@@ -670,28 +672,27 @@ pub(crate) fn visited_payload(visited: &AnyVisited) -> VisitedPayload {
     }
 }
 
-/// Encodes the current search state into a [`Snapshot`] and hands it to the
-/// sink. Sink failures surface as [`KernelError::Snapshot`]. The visited
-/// payload and kind are passed separately so the sequential and parallel
-/// explorers (whose backends differ in type) share this path — and their
-/// snapshots stay mutually resumable.
+/// Encodes the search state into a snapshot, straight from the search's
+/// own parent links, depths and queue, and hands it to the sink. Sink
+/// failures, and a spilled queue that cannot be read back, surface as
+/// [`KernelError::Snapshot`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn flush_checkpoint(
+fn flush_checkpoint(
     sink: &Rc<RefCell<dyn SnapshotSink>>,
     fingerprint: u64,
     tag: &str,
-    kind: VisitedKind,
-    visited: VisitedPayload,
+    visited: &AnyVisited,
+    frontier: &Frontier,
     parents: &[Option<(usize, Step)>],
     depths: &[usize],
-    frontier: Vec<(usize, State)>,
     stats: &SearchStats,
     elapsed: Duration,
 ) -> Result<(), KernelError> {
-    let snapshot = Snapshot {
+    let payload = visited_payload(visited);
+    let image = SearchImage {
         fingerprint,
-        tag: tag.to_string(),
-        kind,
+        tag,
+        kind: visited.kind(),
         stats: SnapStats {
             steps: stats.steps as u64,
             max_depth: stats.max_depth as u64,
@@ -703,13 +704,17 @@ pub(crate) fn flush_checkpoint(
             spill_bytes: stats.spill_bytes as u64,
             merge_passes: stats.merge_passes as u64,
         },
-        parents: parents.to_vec(),
-        depths: depths.to_vec(),
-        frontier,
-        visited,
+        parents,
+        depths,
+        visited: &payload,
     };
+    let bytes = image
+        .encode(frontier.len(), |row| frontier.for_each_row(visited, row))
+        .map_err(|error| KernelError::Snapshot {
+            message: format!("out-of-core frontier snapshot failed: {error}"),
+        })?;
     sink.borrow_mut()
-        .store(&snapshot.encode())
+        .store(&bytes)
         .map_err(|error| KernelError::Snapshot {
             message: error.to_string(),
         })
@@ -868,17 +873,6 @@ impl Frontier {
         }
     }
 
-    /// Requeues state `id` (just popped into `state`) at the front;
-    /// infallible in every representation so budget rollback can never
-    /// fail.
-    fn push_front(&mut self, id: usize, state: &State) {
-        match self {
-            Frontier::Ids(queue) => queue.push_front(id as u32),
-            Frontier::Rows(queue) => queue.push_front(id, state.words(), state.content_hash()),
-            Frontier::Disk(spill) => spill.push_front(id, state.words(), state.content_hash()),
-        }
-    }
-
     /// Queues the new state `id`, whose words are `state`.
     fn push_back(&mut self, id: usize, state: &State) -> io::Result<()> {
         match self {
@@ -891,30 +885,49 @@ impl Frontier {
         Ok(())
     }
 
-    /// The full queue content in FIFO order, for checkpoint flushes.
-    fn snapshot_states(&self, visited: &AnyVisited) -> io::Result<Vec<(usize, State)>> {
-        let row_state = |words: &[i32]| State::from_words(words.into());
+    /// Puts the uncommitted states of a round back at the front, in the
+    /// order they were popped; infallible in every representation, so a
+    /// rollback on a budget trip or an I/O failure can never fail.
+    fn requeue(&mut self, round: &[Expansion]) {
+        for Expansion { id, state, .. } in round.iter().rev() {
+            let (words, hash) = (state.words(), state.content_hash());
+            match self {
+                Frontier::Ids(queue) => queue.push_front(*id as u32),
+                Frontier::Rows(queue) => queue.push_front(*id, words, hash),
+                Frontier::Disk(spill) => spill.push_front(*id, words, hash),
+            }
+        }
+    }
+
+    /// Hands every queued state to `row` as (id, words), in FIFO order,
+    /// for checkpoint flushes.
+    fn for_each_row(
+        &self,
+        visited: &AnyVisited,
+        row: &mut dyn FnMut(usize, &[i32]),
+    ) -> io::Result<()> {
         match self {
             Frontier::Ids(queue) => {
                 let arena = exact_rows(visited);
-                Ok(queue
-                    .iter()
-                    .map(|&id| (id as usize, row_state(arena.row(id))))
-                    .collect())
+                for &id in queue {
+                    row(id as usize, arena.row(id));
+                }
             }
-            Frontier::Rows(queue) => Ok(queue
-                .iter()
-                .map(|(id, words, _)| (id, row_state(words)))
-                .collect()),
-            Frontier::Disk(spill) => spill.snapshot_states(),
+            Frontier::Rows(queue) => {
+                for (id, words, _) in queue.iter() {
+                    row(id, words);
+                }
+            }
+            Frontier::Disk(spill) => spill.for_each_row(row)?,
         }
+        Ok(())
     }
 }
 
 /// The queue of a resumed search: its frontier's states, in the
-/// snapshot's order (the parallel engine writes canonical (depth, id)
-/// order, so the ids need not be a contiguous tail). Under the exact
-/// backend each state must be the row its id names.
+/// snapshot's order (snapshots from older builds may list them in
+/// (depth, id) order, so the ids need not be a contiguous tail). Under the
+/// exact backend each state must be the row its id names.
 fn restore_frontier(snapshot: &Snapshot, visited: &AnyVisited) -> Result<Frontier, KernelError> {
     let mut frontier = Frontier::new(visited);
     for (id, state) in &snapshot.frontier {
@@ -1115,6 +1128,127 @@ fn sync_spill_stats(
     stats.merge_passes = merge_passes;
 }
 
+/// Frontier states taken per round when [`SearchConfig::threads`] is above
+/// one. A round's states are expanded concurrently and then committed one
+/// by one, so the budget, spill and checkpoint checks run once per round.
+/// Large enough that starting the round's workers is a small share of its
+/// cost; small enough that its successors stay a few MiB.
+const ROUND_STATES: usize = 1024;
+
+/// States a worker claims from a round at a time.
+const CLAIM_STATES: usize = 16;
+
+/// One frontier state of a round and what expanding it produced: its
+/// steps, each applied step's successor and failed assertion, in step
+/// order. The buffers are reused from round to round.
+struct Expansion {
+    id: usize,
+    state: State,
+    /// `false` past [`SearchConfig::max_depth`]: the state was checked
+    /// when it was discovered, and only its expansion is skipped.
+    within_depth: bool,
+    /// The enabled steps, restricted to an ample subset under reduction.
+    steps: Vec<Step>,
+    /// The successor along `steps[k]` is `successors[k]`; entries past
+    /// `failed.len()` are stale.
+    successors: Vec<State>,
+    /// For each applied step, the message of the assertion it failed.
+    failed: Vec<Option<String>>,
+    /// The model error that stopped the expansion after `failed.len()`
+    /// steps.
+    error: Option<KernelError>,
+}
+
+impl Expansion {
+    fn new(program: &Program) -> Expansion {
+        Expansion {
+            id: 0,
+            state: State::initial(program),
+            within_depth: true,
+            steps: Vec::new(),
+            successors: Vec::new(),
+            failed: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// Expands the state. Reads only the program and this expansion, so
+    /// the states of a round can be expanded on any threads. `message` is
+    /// scratch for a rendezvous send's fields.
+    fn run(
+        &mut self,
+        program: &Program,
+        reduction: Option<&LocalLocations>,
+        message: &mut Vec<i32>,
+    ) {
+        self.failed.clear();
+        self.error = None;
+        if !self.within_depth {
+            return;
+        }
+        if let Err(error) = enabled_steps_into(program, &self.state, &mut self.steps, message) {
+            self.steps.clear();
+            self.error = Some(error);
+            return;
+        }
+        if self.steps.is_empty() {
+            return;
+        }
+        if let Some(analysis) = reduction {
+            ample_subset(analysis, program, &self.state, &mut self.steps);
+        }
+        for (k, &step) in self.steps.iter().enumerate() {
+            if k == self.successors.len() {
+                self.successors.push(self.state.clone());
+            }
+            match apply_step_into(program, &self.state, step, &mut self.successors[k], None) {
+                Ok(failed) => self.failed.push(failed),
+                Err(error) => {
+                    self.error = Some(error);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Expands every state of a round: on the calling thread when `threads`
+/// is one or the round is a single claim, otherwise on up to `threads`
+/// scoped workers, the calling thread among them, that claim
+/// [`CLAIM_STATES`] states at a time.
+fn expand_round(
+    program: &Program,
+    reduction: Option<&LocalLocations>,
+    round: &mut [Expansion],
+    threads: usize,
+    message: &mut Vec<i32>,
+) {
+    let workers = threads.min(round.len().div_ceil(CLAIM_STATES));
+    if workers <= 1 {
+        for expansion in round {
+            expansion.run(program, reduction, message);
+        }
+        return;
+    }
+    let claims = Mutex::new(round.chunks_mut(CLAIM_STATES));
+    let work = || {
+        let mut message = Vec::new();
+        loop {
+            let claim = claims.lock().expect("round claims poisoned").next();
+            let Some(claim) = claim else { break };
+            for expansion in claim {
+                expansion.run(program, reduction, &mut message);
+            }
+        }
+    };
+    thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+}
+
 /// The explicit-state model checker.
 ///
 /// Create one per [`Program`]; the checking methods are read-only and can be
@@ -1126,15 +1260,15 @@ pub struct Checker<'p> {
     pub(crate) cancel: Option<CancelToken>,
     /// Flush a checkpoint every this many newly interned states (0 = only
     /// on a budget trip or cancellation).
-    pub(crate) checkpoint_every: usize,
+    checkpoint_every: usize,
     /// Where checkpoints go, when checkpointing is enabled.
-    pub(crate) sink: Option<Rc<RefCell<dyn SnapshotSink>>>,
+    sink: Option<Rc<RefCell<dyn SnapshotSink>>>,
     /// Caller label stored in snapshots (e.g. the property name).
-    pub(crate) tag: String,
+    tag: String,
     /// Search state to resume from, set by [`Checker::resume_from`].
-    pub(crate) resume: Option<Snapshot>,
+    resume: Option<Snapshot>,
     /// Where out-of-core structures live, set by [`Checker::spill_to`].
-    pub(crate) storage: Option<(VfsHandle, PathBuf)>,
+    storage: Option<(VfsHandle, PathBuf)>,
 }
 
 impl fmt::Debug for Checker<'_> {
@@ -1303,9 +1437,6 @@ impl<'p> Checker<'p> {
     /// expression fails to evaluate), when storing a checkpoint fails, or
     /// when a resume snapshot's contents do not replay.
     pub fn check_safety(&self, checks: &SafetyChecks) -> Result<SafetyReport, KernelError> {
-        if self.config.threads > 1 && self.config.visited != VisitedKind::DiskExact {
-            return crate::parallel::check_safety_parallel(self, checks);
-        }
         let start = Instant::now();
         let program = self.program;
         let spill_at = self.config.spill_at_bytes;
@@ -1320,7 +1451,7 @@ impl<'p> Checker<'p> {
         // globals alone (local steps are then invisible).
         let reduction = (self.config.partial_order_reduction
             && checks.invariants.iter().all(|(_, p)| p.is_expr_only()))
-        .then(|| crate::reduction::LocalLocations::analyze(program));
+        .then(|| LocalLocations::analyze(program));
 
         let per_state_bytes = approx_state_bytes(program);
         let lossy = self.config.visited.is_lossy();
@@ -1398,12 +1529,14 @@ impl<'p> Checker<'p> {
         let mut tripped: Option<BudgetKind> = None;
         let mut depth_trimmed = false;
         let mut states_at_last_flush = parents.len();
-        // The state being expanded, and the successor being built.
-        let mut state = State::initial(program);
-        let mut scratch = State::initial(program);
-        // Each expansion's enabled steps and a rendezvous send's message
-        // are built in these, reused across states.
-        let (mut steps, mut message) = (Vec::new(), Vec::new());
+        // The round: the states popped off the front of the queue together,
+        // with their expansions. One state at one thread, so every check
+        // below runs before each state; up to `ROUND_STATES` at more.
+        let threads = self.config.threads.max(1);
+        let round_cap = if threads > 1 { ROUND_STATES } else { 1 };
+        let mut round: Vec<Expansion> = Vec::new();
+        // A rendezvous send's message is built in this, reused across states.
+        let mut message = Vec::new();
 
         'search: loop {
             if frontier.is_empty() {
@@ -1420,8 +1553,8 @@ impl<'p> Checker<'p> {
                     break 'search;
                 }
             }
-            // Budget checkpoints run once per expanded state, *before* the
-            // state is popped, so a tripped search's frontier (and thus its
+            // Budget checkpoints run once per round, *before* its states
+            // are popped, so a tripped search's frontier (and thus its
             // snapshot) is complete and resumable without loss.
             if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 tripped = Some(BudgetKind::Cancelled);
@@ -1477,20 +1610,14 @@ impl<'p> Checker<'p> {
                 if let Some(sink) = &self.sink {
                     stats.unique_states = parents.len();
                     sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
-                    let frontier_states = frontier.snapshot_states(&visited).map_err(|error| {
-                        KernelError::Snapshot {
-                            message: format!("out-of-core frontier snapshot failed: {error}"),
-                        }
-                    })?;
                     flush_checkpoint(
                         sink,
                         fingerprint,
                         &self.tag,
-                        visited.kind(),
-                        visited_payload(&visited),
+                        &visited,
+                        &frontier,
                         &parents,
                         &depths,
-                        frontier_states,
                         &stats,
                         base_elapsed + start.elapsed(),
                     )?;
@@ -1498,156 +1625,187 @@ impl<'p> Checker<'p> {
                 }
             }
 
-            let id = match frontier.pop_front(&visited, &mut state) {
-                Ok(Some(id)) => id,
-                Ok(None) => break 'search,
-                Err(error) => {
-                    tripped = Some(spill_trip(&error, "out-of-core frontier read failed")?);
-                    break 'search;
+            // Pop the round, in queue order.
+            let mut len = 0;
+            while len < round_cap {
+                if len == round.len() {
+                    round.push(Expansion::new(program));
                 }
-            };
-            if let Some(limit) = self.config.max_depth {
-                if depths[id] >= limit {
-                    // The state itself was already checked when it was
-                    // discovered; only its expansion is skipped.
-                    depth_trimmed = true;
-                    continue;
-                }
-            }
-
-            enabled_steps_into(program, &state, &mut steps, &mut message)?;
-            stats.max_depth = stats.max_depth.max(depths[id]);
-
-            if steps.is_empty() {
-                if checks.deadlock && !is_valid_end_state(program, &state) {
-                    match rebuild_trace(program, &parents, id, &state, lossy)? {
-                        Some(trace) => {
-                            stats.unique_states = parents.len();
-                            stats.elapsed = base_elapsed + start.elapsed();
-                            sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
-                            return Ok(SafetyReport {
-                                outcome: SafetyOutcome::Deadlock { trace },
-                                stats,
-                                truncated: false,
-                            });
-                        }
-                        None => stats.replay_rejected += 1,
+                let slot = &mut round[len];
+                match frontier.pop_front(&visited, &mut slot.state) {
+                    Ok(Some(id)) => {
+                        slot.id = id;
+                        slot.within_depth = self.config.max_depth.is_none_or(|l| depths[id] < l);
+                        len += 1;
                     }
-                }
-                continue;
-            }
-
-            if let Some(analysis) = &reduction {
-                crate::reduction::ample_subset(analysis, program, &state, &mut steps);
-            }
-            let mut steps_this_expansion = 0;
-            for &step in &steps {
-                stats.steps += 1;
-                steps_this_expansion += 1;
-                // The successor lands in the scratch buffer; the visited
-                // set copies it out only if it is new.
-                let failed_assertion = apply_step_into(program, &state, step, &mut scratch, None)?;
-
-                // Assertions fire on the edge: report even when the target
-                // state was already visited.
-                if let Some(message) = failed_assertion {
-                    match rebuild_trace(program, &parents, id, &state, lossy)? {
-                        Some(prefix) => {
-                            let mut events = prefix.events().to_vec();
-                            events.extend(apply_step(program, &state, step)?.events);
-                            stats.unique_states = parents.len();
-                            stats.elapsed = base_elapsed + start.elapsed();
-                            sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
-                            return Ok(SafetyReport {
-                                outcome: SafetyOutcome::AssertionFailed {
-                                    message,
-                                    trace: Trace::new(events),
-                                },
-                                stats,
-                                truncated: false,
-                            });
-                        }
-                        None => {
-                            stats.replay_rejected += 1;
-                            continue;
-                        }
-                    }
-                }
-
-                // Budget counting point: `insert_if_new` refuses only
-                // genuinely new states once `max_states` is reached, so
-                // duplicates are never charged — the same counting point
-                // the parallel kernel's `StateBudget` enforces atomically
-                // (see `tests/golden_state_counts.rs` for the regression
-                // pinning both).
-                let room = parents.len() < self.config.max_states;
-                match visited.insert_if_new(&scratch, room) {
-                    Insert::Inserted(()) => {}
-                    Insert::Duplicate => {
-                        if let AnyVisited::Disk(disk) = &mut visited {
-                            if let Some(error) = disk.take_error() {
-                                // A failed membership probe cannot be
-                                // trusted: interning on a conservative
-                                // "new" answer could double-count the
-                                // state. Roll this expansion back (the
-                                // same contract as the `max_states` trip
-                                // below) so the search state stays exact.
-                                stats.steps -= steps_this_expansion;
-                                frontier.push_front(id, &state);
-                                tripped =
-                                    Some(spill_trip(&error, "out-of-core visited probe failed")?);
-                                break 'search;
-                            }
-                        }
-                        continue;
-                    }
-                    Insert::BudgetExhausted => {
-                        // Roll this partial expansion back and requeue the
-                        // current state at the *front*, so the snapshot
-                        // frontier is exact and a resumed run re-expands
-                        // it — counting precisely the steps an
-                        // uninterrupted run would.
-                        stats.steps -= steps_this_expansion;
-                        frontier.push_front(id, &state);
-                        tripped = Some(BudgetKind::States);
+                    Ok(None) => break,
+                    Err(error) => {
+                        frontier.requeue(&round[..len]);
+                        tripped = Some(spill_trip(&error, "out-of-core frontier read failed")?);
                         break 'search;
                     }
                 }
-                let next_id = parents.len();
-                parents.push(Some((id, step)));
-                depths.push(depths[id] + 1);
+            }
+            if len == 0 {
+                break 'search;
+            }
+            expand_round(
+                program,
+                reduction.as_ref(),
+                &mut round[..len],
+                threads,
+                &mut message,
+            );
 
-                if let Some(hit) = eval_invariants(checks, &StateView::new(program, &scratch))? {
-                    match rebuild_trace(program, &parents, next_id, &scratch, lossy)? {
-                        Some(trace) => {
-                            stats.unique_states = parents.len();
-                            stats.elapsed = base_elapsed + start.elapsed();
-                            sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
-                            return Ok(SafetyReport {
-                                outcome: hit_outcome(hit, trace),
-                                stats,
-                                truncated: false,
-                            });
+            // Commit the expansions in queue order, exactly as one thread
+            // expands and commits each state in turn.
+            'states: for at in 0..len {
+                let expansion = &round[at];
+                let (id, state) = (expansion.id, &expansion.state);
+                let mut steps_this_expansion = 0;
+                // Evaluates to why the search stops at this state, with
+                // its expansion rolled back.
+                let stop = 'commit: {
+                    // The drain above, for the rest of a round.
+                    if at > 0 {
+                        if let AnyVisited::Disk(disk) = &mut visited {
+                            if let Some(error) = disk.take_error() {
+                                break 'commit spill_trip(
+                                    &error,
+                                    "out-of-core visited write failed",
+                                );
+                            }
                         }
-                        None => stats.replay_rejected += 1,
                     }
-                }
-                if let Err(error) = frontier.push_back(next_id, &scratch) {
-                    // The new state is retained in the spilled frontier's
-                    // RAM tail even when its chunk flush fails, so the
-                    // search state (and any final snapshot) stays complete.
-                    // Roll the partial expansion back and requeue the
-                    // current state (the same contract as the `max_states`
-                    // trip above): a resumed run re-expands it, re-counting
-                    // every transition while the dedup check skips the
-                    // successors interned before the failure — so totals
-                    // stay exactly those of an uninterrupted run.
-                    stats.steps -= steps_this_expansion;
-                    frontier.push_front(id, &state);
-                    tripped = Some(spill_trip(&error, "out-of-core frontier write failed")?);
-                    break 'search;
-                }
-                stats.peak_frontier = stats.peak_frontier.max(frontier.len());
+                    if !expansion.within_depth {
+                        depth_trimmed = true;
+                        continue 'states;
+                    }
+                    stats.max_depth = stats.max_depth.max(depths[id]);
+
+                    if expansion.steps.is_empty() && expansion.error.is_none() {
+                        if checks.deadlock && !is_valid_end_state(program, state) {
+                            match rebuild_trace(program, &parents, id, state, lossy)? {
+                                Some(trace) => {
+                                    stats.unique_states = parents.len();
+                                    stats.elapsed = base_elapsed + start.elapsed();
+                                    sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
+                                    return Ok(SafetyReport {
+                                        outcome: SafetyOutcome::Deadlock { trace },
+                                        stats,
+                                        truncated: false,
+                                    });
+                                }
+                                None => stats.replay_rejected += 1,
+                            }
+                        }
+                        continue 'states;
+                    }
+
+                    for (k, failed) in expansion.failed.iter().enumerate() {
+                        let (step, successor) = (expansion.steps[k], &expansion.successors[k]);
+                        stats.steps += 1;
+                        steps_this_expansion += 1;
+
+                        // Assertions fire on the edge: report even when the
+                        // target state was already visited.
+                        if let Some(message) = failed {
+                            match rebuild_trace(program, &parents, id, state, lossy)? {
+                                Some(prefix) => {
+                                    let mut events = prefix.events().to_vec();
+                                    events.extend(apply_step(program, state, step)?.events);
+                                    stats.unique_states = parents.len();
+                                    stats.elapsed = base_elapsed + start.elapsed();
+                                    sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
+                                    return Ok(SafetyReport {
+                                        outcome: SafetyOutcome::AssertionFailed {
+                                            message: message.clone(),
+                                            trace: Trace::new(events),
+                                        },
+                                        stats,
+                                        truncated: false,
+                                    });
+                                }
+                                None => {
+                                    stats.replay_rejected += 1;
+                                    continue;
+                                }
+                            }
+                        }
+
+                        // Budget counting point: `insert_if_new` refuses
+                        // only genuinely new states once `max_states` is
+                        // reached, so duplicates are never charged (see
+                        // `tests/golden_state_counts.rs` for the regression
+                        // pinning it).
+                        let room = parents.len() < self.config.max_states;
+                        match visited.insert_if_new(successor, room) {
+                            Insert::Inserted => {}
+                            Insert::Duplicate => {
+                                if let AnyVisited::Disk(disk) = &mut visited {
+                                    if let Some(error) = disk.take_error() {
+                                        // A failed membership probe cannot
+                                        // be trusted: interning on a
+                                        // conservative "new" answer could
+                                        // double-count the state.
+                                        break 'commit spill_trip(
+                                            &error,
+                                            "out-of-core visited probe failed",
+                                        );
+                                    }
+                                }
+                                continue;
+                            }
+                            Insert::BudgetExhausted => break 'commit Ok(BudgetKind::States),
+                        }
+                        let next_id = parents.len();
+                        parents.push(Some((id, step)));
+                        depths.push(depths[id] + 1);
+
+                        if let Some(hit) =
+                            eval_invariants(checks, &StateView::new(program, successor))?
+                        {
+                            match rebuild_trace(program, &parents, next_id, successor, lossy)? {
+                                Some(trace) => {
+                                    stats.unique_states = parents.len();
+                                    stats.elapsed = base_elapsed + start.elapsed();
+                                    sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
+                                    return Ok(SafetyReport {
+                                        outcome: hit_outcome(hit, trace),
+                                        stats,
+                                        truncated: false,
+                                    });
+                                }
+                                None => stats.replay_rejected += 1,
+                            }
+                        }
+                        if let Err(error) = frontier.push_back(next_id, successor) {
+                            // The new state is retained in the spilled
+                            // frontier's RAM tail even when its chunk flush
+                            // fails, so the search state (and any final
+                            // snapshot) stays complete.
+                            break 'commit spill_trip(&error, "out-of-core frontier write failed");
+                        }
+                        // The round's uncommitted states are still queued
+                        // at one thread.
+                        stats.peak_frontier =
+                            stats.peak_frontier.max(frontier.len() + len - at - 1);
+                    }
+                    if let Some(error) = &expansion.error {
+                        return Err(error.clone());
+                    }
+                    continue 'states;
+                };
+                // Roll the partial expansion back and requeue this state and
+                // the rest of its round at the front, so the snapshot
+                // frontier is exact and a resumed run re-expands them —
+                // re-counting every transition while the dedup check skips
+                // the successors interned before the stop, so totals stay
+                // exactly those of an uninterrupted run.
+                stats.steps -= steps_this_expansion;
+                frontier.requeue(&round[at..len]);
+                tripped = Some(stop?);
+                break 'search;
             }
         }
 
@@ -1663,20 +1821,14 @@ impl<'p> Checker<'p> {
                 // An interrupted search always flushes a final snapshot:
                 // budget trips and cancellation lose no work.
                 if let Some(sink) = &self.sink {
-                    let frontier_states = frontier.snapshot_states(&visited).map_err(|error| {
-                        KernelError::Snapshot {
-                            message: format!("out-of-core frontier snapshot failed: {error}"),
-                        }
-                    })?;
                     flush_checkpoint(
                         sink,
                         fingerprint,
                         &self.tag,
-                        visited.kind(),
-                        visited_payload(&visited),
+                        &visited,
+                        &frontier,
                         &parents,
                         &depths,
-                        frontier_states,
                         &stats,
                         stats.elapsed,
                     )?;
@@ -2501,21 +2653,47 @@ mod tests {
         assert_eq!(disk.outcome, SafetyOutcome::Holds);
     }
 
+    /// Checks `program` for deadlocks under `config`, with out-of-core
+    /// storage on a simulated filesystem seeded with `seed`.
+    fn out_of_core_run(program: &Program, config: SearchConfig, seed: u64) -> SafetyReport {
+        Checker::with_config(program, config)
+            .spill_to(sim_storage(seed), "/spill")
+            .check_safety(&SafetyChecks::deadlock_only())
+            .unwrap()
+    }
+
     #[test]
-    fn disk_visited_routes_to_the_sequential_kernel() {
-        let program = toggler(2);
-        let report = Checker::with_config(
-            &program,
-            SearchConfig {
-                visited: VisitedKind::DiskExact,
-                threads: 4,
-                ..SearchConfig::default()
-            },
-        )
-        .spill_to(sim_storage(34), "/spill")
-        .check_safety(&SafetyChecks::deadlock_only())
-        .unwrap();
-        assert_eq!(report.outcome, SafetyOutcome::Holds);
+    fn spilled_and_disk_searches_at_two_threads_match_in_memory_run() {
+        // Frontiers of hundreds of states: rounds of many claims, so the
+        // expansions really run on two threads.
+        let program = counters(3, 20);
+        let baseline = Checker::new(&program)
+            .check_safety(&SafetyChecks::deadlock_only())
+            .unwrap();
+        assert_eq!(baseline.outcome, SafetyOutcome::Holds);
+        assert!(baseline.stats.peak_frontier > 4 * CLAIM_STATES);
+        let two_threads = SearchConfig {
+            threads: 2,
+            spill_at_bytes: Some(1),
+            ..SearchConfig::default()
+        };
+        let disk = SearchConfig {
+            visited: VisitedKind::DiskExact,
+            ..two_threads
+        };
+        for (name, report) in [
+            ("spill", out_of_core_run(&program, two_threads, 36)),
+            ("disk", out_of_core_run(&program, disk, 37)),
+        ] {
+            assert_eq!(report.outcome, baseline.outcome, "{name}");
+            assert_eq!(
+                report.stats.unique_states, baseline.stats.unique_states,
+                "{name}"
+            );
+            assert_eq!(report.stats.steps, baseline.stats.steps, "{name}");
+            assert_eq!(report.stats.max_depth, baseline.stats.max_depth, "{name}");
+            assert!(report.stats.spilled_states > 0, "{name}: {}", report.stats);
+        }
     }
 
     #[test]

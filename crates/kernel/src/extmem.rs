@@ -307,21 +307,25 @@ impl SpillFrontier {
         Ok(self.head.pop_front_into(into))
     }
 
-    /// A non-destructive FIFO-ordered copy of every queued state, for
-    /// checkpoint snapshots (chunks are read but not consumed).
-    pub(crate) fn snapshot_states(&self) -> io::Result<Vec<(usize, State)>> {
-        let row_state =
-            |(id, words, _): (usize, &[i32], u64)| (id, State::from_words(words.into()));
-        let mut out = Vec::with_capacity(self.len());
-        out.extend(self.head.iter().map(row_state));
+    /// Hands every queued state to `row` as (id, words), in FIFO order,
+    /// for checkpoint snapshots. Non-destructive: chunks are read but not
+    /// consumed.
+    pub(crate) fn for_each_row(&self, row: &mut dyn FnMut(usize, &[i32])) -> io::Result<()> {
+        for (id, words, _) in self.head.iter() {
+            row(id, words);
+        }
         let mut chunk = RowQueue::new();
         for &seq in &self.chunks {
             chunk.clear();
             load_chunk(&self.vfs.read(&self.chunk_path(seq))?, &mut chunk)?;
-            out.extend(chunk.iter().map(row_state));
+            for (id, words, _) in chunk.iter() {
+                row(id, words);
+            }
         }
-        out.extend(self.tail.iter().map(row_state));
-        Ok(out)
+        for (id, words, _) in self.tail.iter() {
+            row(id, words);
+        }
+        Ok(())
     }
 
     fn flush_tail(&mut self) -> io::Result<()> {
@@ -459,10 +463,13 @@ mod tests {
         }
         assert_eq!(frontier.len(), 20);
         assert!(frontier.spilled_states() > 0);
-        let snapshot = frontier.snapshot_states().unwrap();
+        let mut snapshot = Vec::new();
+        frontier
+            .for_each_row(&mut |id, words| snapshot.push((id, words.to_vec())))
+            .unwrap();
         assert_eq!(snapshot.len(), 20);
-        for (i, (id, state)) in snapshot.iter().enumerate() {
-            assert_eq!((*id, state), (i, &tiny_state(i as i32)));
+        for (i, (id, words)) in snapshot.iter().enumerate() {
+            assert_eq!((*id, &words[..]), (i, tiny_state(i as i32).words()));
         }
         // Rollback path: push_front must come out first.
         let state = tiny_state(99);

@@ -78,7 +78,6 @@ mod expression;
 mod extmem;
 mod liveness;
 mod outcome;
-mod parallel;
 mod pliveness;
 mod program;
 mod reduction;
@@ -120,6 +119,5 @@ pub use vfs::{
 };
 pub use visited::{
     bloom_omission_probability, BitstateVisited, CompactVisited, DiskExactVisited, ExactVisited,
-    Insert, ShardedBitstateVisited, ShardedCompactVisited, ShardedExactVisited, SharedInsert,
-    SharedVisitedSet, StateBudget, VisitedKind, VisitedSet,
+    Insert, VisitedKind, VisitedSet,
 };

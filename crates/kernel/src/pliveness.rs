@@ -18,8 +18,8 @@
 //! makes a detected cycle real for *that* worker's interleaving: a red DFS
 //! reaching a cyan node closes `seed -> ... -> hit -> ... -> seed`.
 //!
-//! Termination mirrors `parallel.rs`: a shared first-cause-wins stop code
-//! plus a peer [`CancelToken`], so the first worker to find a cycle (or
+//! Termination is a shared first-cause-wins stop code plus a peer
+//! [`CancelToken`], so the first worker to find a cycle (or
 //! hit an error) stops the swarm. Every reported lasso is re-validated
 //! through [`Checker::replay_trace`] before it reaches the user; a lasso
 //! that fails validation — or a red-await that stalls — falls back to the
@@ -52,8 +52,7 @@ use crate::state::{
 use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::visited::ShardedNodeSet;
 
-/// Stop-flag codes shared by the swarm; the first cause wins. Numbering
-/// follows `parallel.rs` where the causes coincide.
+/// Stop-flag codes shared by the swarm; the first cause wins.
 const RUNNING: u8 = 0;
 const STOP_CANCELLED: u8 = 3;
 const STOP_CYCLE: u8 = 4;

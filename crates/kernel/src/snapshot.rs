@@ -188,72 +188,25 @@ impl Snapshot {
 
     /// Serializes the snapshot to its versioned binary form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(VERSION);
-        w.u64(self.fingerprint);
-        w.str(&self.tag);
-        match self.kind {
-            VisitedKind::Exact => w.u8(0),
-            VisitedKind::Compact => w.u8(1),
-            VisitedKind::Bitstate {
-                arena_bytes,
-                hashes,
-            } => {
-                w.u8(2);
-                w.u64(arena_bytes as u64);
-                w.u32(hashes);
+        let image = SearchImage {
+            fingerprint: self.fingerprint,
+            tag: &self.tag,
+            kind: self.kind,
+            stats: self.stats,
+            parents: &self.parents,
+            depths: &self.depths,
+            visited: &self.visited,
+        };
+        let frontier = |row: &mut dyn FnMut(usize, &[i32])| {
+            for (id, state) in &self.frontier {
+                row(*id, state.words());
             }
-            VisitedKind::DiskExact => w.u8(3),
+            Ok::<(), std::convert::Infallible>(())
+        };
+        match image.encode(self.frontier.len(), frontier) {
+            Ok(bytes) => bytes,
+            Err(never) => match never {},
         }
-        w.u64(self.stats.steps);
-        w.u64(self.stats.max_depth);
-        w.u64(self.stats.peak_frontier);
-        w.u64(self.stats.approx_memory_bytes);
-        w.u64(self.stats.elapsed_nanos);
-        w.u64(self.stats.replay_rejected);
-        w.u64(self.stats.spilled_states);
-        w.u64(self.stats.spill_bytes);
-        w.u64(self.stats.merge_passes);
-        w.u64(self.parents.len() as u64);
-        for parent in &self.parents {
-            match parent {
-                None => w.u8(0),
-                Some((id, step)) => {
-                    w.u8(1);
-                    w.u64(*id as u64);
-                    w.step(step);
-                }
-            }
-        }
-        w.u64(self.depths.len() as u64);
-        for &d in &self.depths {
-            w.u64(d as u64);
-        }
-        w.u64(self.frontier.len() as u64);
-        for (id, state) in &self.frontier {
-            w.u64(*id as u64);
-            w.state(state);
-        }
-        match &self.visited {
-            VisitedPayload::Exact => {}
-            VisitedPayload::Compact(hashes) => {
-                w.u64(hashes.len() as u64);
-                for &h in hashes {
-                    w.u64(h);
-                }
-            }
-            VisitedPayload::Bitstate { arena, inserted } => {
-                w.u64(arena.len() as u64);
-                for &word in arena {
-                    w.u64(word);
-                }
-                w.u64(*inserted);
-            }
-        }
-        let checksum = checksum64(&w.out);
-        w.u64(checksum);
-        w.out
     }
 
     /// Parses a snapshot from its binary form, verifying magic, version,
@@ -404,6 +357,102 @@ impl Snapshot {
             frontier,
             visited,
         })
+    }
+}
+
+/// A search's state borrowed for encoding: what a [`Snapshot`] holds
+/// except the frontier, which the encoder pulls row by row. A running
+/// search encodes its checkpoints through this without copying its parent
+/// links, depths or queued states.
+pub(crate) struct SearchImage<'a> {
+    pub(crate) fingerprint: u64,
+    pub(crate) tag: &'a str,
+    pub(crate) kind: VisitedKind,
+    pub(crate) stats: SnapStats,
+    pub(crate) parents: &'a [Option<(usize, Step)>],
+    pub(crate) depths: &'a [usize],
+    pub(crate) visited: &'a VisitedPayload,
+}
+
+impl SearchImage<'_> {
+    /// The snapshot wire format of this image and a frontier of
+    /// `frontier_len` states, which `frontier` hands to its callback as
+    /// (id, words) in FIFO order. A failure to produce the frontier is
+    /// returned as is.
+    pub(crate) fn encode<E>(
+        &self,
+        frontier_len: usize,
+        frontier: impl FnOnce(&mut dyn FnMut(usize, &[i32])) -> Result<(), E>,
+    ) -> Result<Vec<u8>, E> {
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u64(self.fingerprint);
+        w.str(self.tag);
+        match self.kind {
+            VisitedKind::Exact => w.u8(0),
+            VisitedKind::Compact => w.u8(1),
+            VisitedKind::Bitstate {
+                arena_bytes,
+                hashes,
+            } => {
+                w.u8(2);
+                w.u64(arena_bytes as u64);
+                w.u32(hashes);
+            }
+            VisitedKind::DiskExact => w.u8(3),
+        }
+        w.u64(self.stats.steps);
+        w.u64(self.stats.max_depth);
+        w.u64(self.stats.peak_frontier);
+        w.u64(self.stats.approx_memory_bytes);
+        w.u64(self.stats.elapsed_nanos);
+        w.u64(self.stats.replay_rejected);
+        w.u64(self.stats.spilled_states);
+        w.u64(self.stats.spill_bytes);
+        w.u64(self.stats.merge_passes);
+        w.u64(self.parents.len() as u64);
+        for parent in self.parents {
+            match parent {
+                None => w.u8(0),
+                Some((id, step)) => {
+                    w.u8(1);
+                    w.u64(*id as u64);
+                    w.step(step);
+                }
+            }
+        }
+        w.u64(self.depths.len() as u64);
+        for &d in self.depths {
+            w.u64(d as u64);
+        }
+        w.u64(frontier_len as u64);
+        let mut rows = 0;
+        frontier(&mut |id, words| {
+            w.u64(id as u64);
+            w.words(words);
+            rows += 1;
+        })?;
+        debug_assert_eq!(rows, frontier_len, "frontier length");
+        match self.visited {
+            VisitedPayload::Exact => {}
+            VisitedPayload::Compact(hashes) => {
+                w.u64(hashes.len() as u64);
+                for &h in hashes {
+                    w.u64(h);
+                }
+            }
+            VisitedPayload::Bitstate { arena, inserted } => {
+                w.u64(arena.len() as u64);
+                for &word in arena {
+                    w.u64(word);
+                }
+                w.u64(*inserted);
+            }
+        }
+        let checksum = checksum64(&w.out);
+        w.u64(checksum);
+        Ok(w.out)
     }
 }
 
@@ -605,10 +654,6 @@ impl Writer {
                 self.u64(trans as u64);
             }
         }
-    }
-
-    fn state(&mut self, state: &State) {
-        self.words(state.words());
     }
 
     fn words(&mut self, words: &[i32]) {

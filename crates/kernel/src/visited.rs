@@ -33,31 +33,19 @@ use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::arena::{Interned, StateArena};
 use crate::extmem::{decode_run, encode_run, index_run, merge_runs, RunEntry};
 use crate::rng::{mix64, SplitMix64};
 use crate::snapshot::{append_words, encode_words_into, encoded_words_len};
-use crate::state::{words_hash, State, StateHasher};
+use crate::state::{words_hash, State};
 use crate::vfs::{commit_replace, VfsHandle};
 
 /// Seed for the deterministic hash family used by the lossy backends.
 /// Derived hashes must be stable across runs so that a resumed search
 /// agrees with the snapshot it came from.
 const HASH_FAMILY_SEED: u64 = 0xb175_7a7e_5eed_0001;
-
-/// Number of shards in the concurrent visited-set variants. A power of two
-/// so the shard index is a mask of the shard hash.
-const SHARD_COUNT: usize = 64;
-
-/// The shard of a state in the sharded exact set: bits 32.. of its carried
-/// hash. A shard's hash set indexes buckets by the low bits and tags them
-/// with the top seven, so the shard index must come from neither.
-fn shard_index(state: &State) -> usize {
-    (state.content_hash() >> 32) as usize & (SHARD_COUNT - 1)
-}
 
 /// Number of on-disk partitions in [`DiskExactVisited`]. A power of two
 /// so the partition index is a mask of the state's carried hash.
@@ -77,9 +65,13 @@ const NODE_SHARD_SEED: u64 = 0xb175_7a7e_5eed_0004;
 /// counter). Mirrors `liveness::Node` without creating a module cycle.
 pub(crate) type ProductNode = (usize, usize, u32);
 
-/// Concurrent set of liveness *product nodes*, sharded like
-/// [`ShardedExactVisited`]: [`SHARD_COUNT`] per-shard mutex-protected
-/// hash sets, indexed by a seeded [`mix64`] of the packed node.
+/// Number of shards in [`ShardedNodeSet`]. A power of two so the shard
+/// index is a mask of the shard hash.
+const NODE_SHARDS: usize = 64;
+
+/// Concurrent set of liveness *product nodes*: [`NODE_SHARDS`] per-shard
+/// mutex-protected hash sets, indexed by a seeded [`mix64`] of the packed
+/// node.
 ///
 /// This is the substrate for the CNDFS blue/red sets in
 /// `crate::pliveness`: membership is exact (nodes are small fixed-size
@@ -93,7 +85,7 @@ pub(crate) struct ShardedNodeSet {
 impl ShardedNodeSet {
     pub(crate) fn new() -> ShardedNodeSet {
         ShardedNodeSet {
-            shards: (0..SHARD_COUNT)
+            shards: (0..NODE_SHARDS)
                 .map(|_| Mutex::new(HashSet::new()))
                 .collect(),
         }
@@ -103,7 +95,7 @@ impl ShardedNodeSet {
         let packed = (node.0 as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(((node.1 as u64) << 32) | u64::from(node.2));
-        let idx = mix64(packed ^ NODE_SHARD_SEED) as usize & (SHARD_COUNT - 1);
+        let idx = mix64(packed ^ NODE_SHARD_SEED) as usize & (NODE_SHARDS - 1);
         &self.shards[idx]
     }
 
@@ -152,7 +144,7 @@ pub enum VisitedKind {
     },
     /// Store every state payload in checksummed on-disk partitions with a
     /// RAM Bloom front; precise membership with bounded RAM
-    /// ([`DiskExactVisited`]). Sequential searches only.
+    /// ([`DiskExactVisited`]).
     DiskExact,
 }
 
@@ -196,26 +188,18 @@ impl fmt::Display for VisitedKind {
     }
 }
 
-/// What an `insert_if_new` did. `P` is what a backend hands back for a
-/// new state: nothing in the sequential kernel, which names a state by its
-/// discovery index and keeps its words in the exact backend's arena or in
-/// the frontier's rows; the interned `Arc` copy in the parallel one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Insert<P = ()> {
-    /// The state was new and is now a member (for the parallel kernel,
-    /// one budget slot was consumed).
-    Inserted(P),
+/// What an `insert_if_new` did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insert {
+    /// The state was new and is now a member.
+    Inserted,
     /// The state was already a member (or, for a lossy backend, collided
     /// with one); nothing was allocated and the budget is untouched.
     Duplicate,
     /// The state was new but the budget cap is reached; nothing was
-    /// inserted (except possibly bits in the bitstate arena — see
-    /// [`ShardedBitstateVisited`]).
+    /// inserted.
     BudgetExhausted,
 }
-
-/// What [`SharedVisitedSet::insert_if_new`] did.
-pub type SharedInsert = Insert<Arc<State>>;
 
 /// A set of visited states, with backend-specific precision and cost.
 ///
@@ -240,7 +224,7 @@ pub trait VisitedSet {
             return Insert::BudgetExhausted;
         }
         self.intern(state);
-        Insert::Inserted(())
+        Insert::Inserted
     }
 
     /// Records `state`, which is not a member yet. Called by
@@ -308,7 +292,7 @@ impl VisitedSet for ExactVisited {
     fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
         match self.arena.intern(state, |_| room) {
             Interned::Old(_) => Insert::Duplicate,
-            Interned::New(_) => Insert::Inserted(()),
+            Interned::New(_) => Insert::Inserted,
             Interned::Refused => Insert::BudgetExhausted,
         }
     }
@@ -830,7 +814,7 @@ impl VisitedSet for DiskExactVisited {
             return Insert::BudgetExhausted;
         }
         self.intern(state);
-        Insert::Inserted(())
+        Insert::Inserted
     }
 
     fn intern(&mut self, state: &State) {
@@ -947,471 +931,13 @@ impl VisitedSet for AnyVisited {
     }
 }
 
-/// A shared counter of interned states with a hard cap, used by the
-/// parallel search so `max_states` is charged exactly once per *new*
-/// state across all workers — the same counting point as the sequential
-/// kernel (duplicates never touch the budget).
-#[derive(Debug)]
-pub struct StateBudget {
-    interned: AtomicUsize,
-    max_states: usize,
-}
-
-impl StateBudget {
-    /// A budget that already accounts for `already_interned` states (the
-    /// initial state, or everything restored from a snapshot) and trips
-    /// once `max_states` is reached.
-    pub fn new(already_interned: usize, max_states: usize) -> StateBudget {
-        StateBudget {
-            interned: AtomicUsize::new(already_interned),
-            max_states,
-        }
-    }
-
-    /// A budget that never trips (used when rebuilding a visited set from
-    /// a snapshot, where every state was already paid for).
-    pub fn unlimited() -> StateBudget {
-        StateBudget::new(0, usize::MAX)
-    }
-
-    /// Reserves one state slot; `false` when the cap is already reached.
-    pub fn try_reserve(&self) -> bool {
-        self.interned
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.max_states).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// Returns a slot reserved by [`StateBudget::try_reserve`] that turned
-    /// out not to be needed (the state lost an insert race).
-    pub fn release(&self) {
-        self.interned.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// States currently charged against the budget.
-    pub fn reserved(&self) -> usize {
-        self.interned.load(Ordering::SeqCst)
-    }
-}
-
-/// A visited set shared by concurrent search workers.
-///
-/// The mirror of [`VisitedSet`] for the parallel kernel: membership and
-/// insertion take `&self` and are safe to call from many threads. The
-/// budget is threaded through [`SharedVisitedSet::insert_if_new`] so the
-/// *"is it new?"* test and the budget charge happen atomically — a
-/// duplicate racing with a distinct new state can never trip `max_states`
-/// spuriously.
-pub trait SharedVisitedSet: Sync {
-    /// Whether `state` is (believed to be) already visited. Lossy backends
-    /// may return `true` for a state never inserted (a collision), never
-    /// `false` for one that was.
-    fn contains(&self, state: &State) -> bool;
-
-    /// Inserts `state` if absent, charging one slot of `budget` for a
-    /// genuinely new state, and copying the state only then. See
-    /// [`Insert`].
-    fn insert_if_new(&self, state: &State, budget: &StateBudget) -> SharedInsert;
-
-    /// Number of states inserted.
-    fn len(&self) -> usize;
-
-    /// Whether no state has been inserted yet.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate memory held by the backend, in bytes.
-    fn approx_bytes(&self) -> usize;
-
-    /// The backend's kind (and parameters).
-    fn kind(&self) -> VisitedKind;
-
-    /// Estimated probability that a new distinct state would be wrongly
-    /// treated as visited. Zero for the exact backend.
-    fn omission_probability(&self) -> f64;
-}
-
-/// Concurrent variant of [`ExactVisited`]: full state payloads sharded by
-/// their carried hash across [`SHARD_COUNT`] per-shard [`Mutex`]-protected
-/// hash sets.
-///
-/// Membership is precise, exactly like the sequential backend; one
-/// acquisition of the shard lock makes the *probe → charge budget →
-/// insert* sequence atomic per state, so parallel searches intern exactly
-/// the set of states a sequential search would.
-pub struct ShardedExactVisited {
-    shards: Vec<Mutex<HashSet<Arc<State>, StateHasher>>>,
-    per_state_bytes: usize,
-}
-
-impl ShardedExactVisited {
-    /// An empty sharded exact set; `per_state_bytes` as in
-    /// [`ExactVisited::new`].
-    pub fn new(per_state_bytes: usize) -> ShardedExactVisited {
-        ShardedExactVisited {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashSet::default()))
-                .collect(),
-            per_state_bytes,
-        }
-    }
-
-    fn shard(&self, state: &State) -> &Mutex<HashSet<Arc<State>, StateHasher>> {
-        &self.shards[shard_index(state)]
-    }
-}
-
-impl SharedVisitedSet for ShardedExactVisited {
-    fn contains(&self, state: &State) -> bool {
-        self.shard(state)
-            .lock()
-            .expect("shard poisoned")
-            .contains(state)
-    }
-
-    fn insert_if_new(&self, state: &State, budget: &StateBudget) -> SharedInsert {
-        let mut shard = self.shard(state).lock().expect("shard poisoned");
-        if shard.contains(state) {
-            return Insert::Duplicate;
-        }
-        if !budget.try_reserve() {
-            return Insert::BudgetExhausted;
-        }
-        let interned = Arc::new(state.clone());
-        shard.insert(Arc::clone(&interned));
-        Insert::Inserted(interned)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.len() * self.per_state_bytes
-    }
-
-    fn kind(&self) -> VisitedKind {
-        VisitedKind::Exact
-    }
-
-    fn omission_probability(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Concurrent variant of [`CompactVisited`]: 64-bit state hashes sharded
-/// by their own low bits across per-shard locked sets.
-///
-/// Uses the *same* hash seed as the sequential compact backend, so a
-/// snapshot written by a parallel search restores into a sequential one
-/// (and vice versa) with identical membership.
-pub struct ShardedCompactVisited {
-    shards: Vec<Mutex<HashSet<u64>>>,
-    seed: u64,
-}
-
-impl ShardedCompactVisited {
-    /// An empty sharded compacted set.
-    pub fn new() -> ShardedCompactVisited {
-        let mut family = SplitMix64::seed_from_u64(HASH_FAMILY_SEED);
-        ShardedCompactVisited {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
-            seed: family.next_u64(),
-        }
-    }
-
-    /// Rebuilds the set from a snapshot payload.
-    pub(crate) fn from_hashes(hashes: impl IntoIterator<Item = u64>) -> ShardedCompactVisited {
-        let set = ShardedCompactVisited::new();
-        for h in hashes {
-            set.shards[h as usize & (SHARD_COUNT - 1)]
-                .lock()
-                .expect("shard poisoned")
-                .insert(h);
-        }
-        set
-    }
-
-    /// The stored hashes, for snapshotting (sorted for determinism).
-    pub(crate) fn snapshot_hashes(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("shard poisoned")
-                    .iter()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        v.sort_unstable();
-        v
-    }
-}
-
-impl Default for ShardedCompactVisited {
-    fn default() -> Self {
-        ShardedCompactVisited::new()
-    }
-}
-
-impl SharedVisitedSet for ShardedCompactVisited {
-    fn contains(&self, state: &State) -> bool {
-        let h = words_hash(state.words(), self.seed);
-        self.shards[h as usize & (SHARD_COUNT - 1)]
-            .lock()
-            .expect("shard poisoned")
-            .contains(&h)
-    }
-
-    fn insert_if_new(&self, state: &State, budget: &StateBudget) -> SharedInsert {
-        let h = words_hash(state.words(), self.seed);
-        let mut shard = self.shards[h as usize & (SHARD_COUNT - 1)]
-            .lock()
-            .expect("shard poisoned");
-        if shard.contains(&h) {
-            return Insert::Duplicate;
-        }
-        if !budget.try_reserve() {
-            return Insert::BudgetExhausted;
-        }
-        shard.insert(h);
-        Insert::Inserted(Arc::new(state.clone()))
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.len() * 16
-    }
-
-    fn kind(&self) -> VisitedKind {
-        VisitedKind::Compact
-    }
-
-    fn omission_probability(&self) -> f64 {
-        self.len() as f64 / 2f64.powi(64)
-    }
-}
-
-/// Concurrent variant of [`BitstateVisited`]: the same fixed bit arena,
-/// but made of [`AtomicU64`] words written with a compare-free `fetch_or`.
-///
-/// Setting bits with atomic OR is commutative, so a parallel run produces
-/// the *same final arena* as a sequential run over the same states (the
-/// hash seeds are shared), and the Bloom-filter omission estimate applies
-/// unchanged. Two caveats, both conservative:
-///
-/// * two workers racing to insert the *same* new state can each observe a
-///   fresh bit and both report [`SharedInsert::Inserted`] — the state is
-///   then expanded twice (sound, terminating: its successors deduplicate)
-///   and `len()` slightly over-counts, which only *raises* the reported
-///   omission probability;
-/// * a [`SharedInsert::BudgetExhausted`] insert may leave some bits set,
-///   which can only cause extra omissions, never a fabricated violation.
-pub struct ShardedBitstateVisited {
-    arena: Vec<AtomicU64>,
-    bits: u64,
-    hashes: u32,
-    inserted: AtomicUsize,
-    arena_bytes: usize,
-    seed1: u64,
-    seed2: u64,
-}
-
-impl ShardedBitstateVisited {
-    /// An empty atomic arena; parameters as in [`BitstateVisited::new`],
-    /// and the same hash seeds so snapshots interoperate.
-    pub fn new(arena_bytes: usize, hashes: u32) -> ShardedBitstateVisited {
-        let arena_bytes = arena_bytes.max(8);
-        let hashes = hashes.max(1);
-        let words = arena_bytes.div_ceil(8);
-        let mut family = SplitMix64::seed_from_u64(HASH_FAMILY_SEED);
-        let _compact_seed = family.next_u64();
-        ShardedBitstateVisited {
-            arena: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            bits: (words as u64) * 64,
-            hashes,
-            inserted: AtomicUsize::new(0),
-            arena_bytes,
-            seed1: family.next_u64(),
-            seed2: family.next_u64(),
-        }
-    }
-
-    /// Rebuilds the arena from a snapshot payload.
-    pub(crate) fn from_arena(
-        arena_bytes: usize,
-        hashes: u32,
-        arena: Vec<u64>,
-        inserted: usize,
-    ) -> ShardedBitstateVisited {
-        let set = ShardedBitstateVisited::new(arena_bytes, hashes);
-        debug_assert_eq!(set.arena.len(), arena.len());
-        for (word, value) in set.arena.iter().zip(arena) {
-            word.store(value, Ordering::Relaxed);
-        }
-        set.inserted.store(inserted, Ordering::Relaxed);
-        set
-    }
-
-    /// The arena words and insert count, for snapshotting.
-    pub(crate) fn snapshot_arena(&self) -> (Vec<u64>, usize) {
-        (
-            self.arena
-                .iter()
-                .map(|w| w.load(Ordering::SeqCst))
-                .collect(),
-            self.inserted.load(Ordering::SeqCst),
-        )
-    }
-
-    fn bit_indices(&self, state: &State) -> impl Iterator<Item = u64> + use<> {
-        let h1 = words_hash(state.words(), self.seed1);
-        let h2 = words_hash(state.words(), self.seed2) | 1;
-        let bits = self.bits;
-        (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % bits)
-    }
-}
-
-impl SharedVisitedSet for ShardedBitstateVisited {
-    fn contains(&self, state: &State) -> bool {
-        self.bit_indices(state).all(|bit| {
-            self.arena[(bit / 64) as usize].load(Ordering::SeqCst) & (1 << (bit % 64)) != 0
-        })
-    }
-
-    fn insert_if_new(&self, state: &State, budget: &StateBudget) -> SharedInsert {
-        if self.contains(state) {
-            return Insert::Duplicate;
-        }
-        if !budget.try_reserve() {
-            return Insert::BudgetExhausted;
-        }
-        let mut fresh = false;
-        for bit in self.bit_indices(state) {
-            let mask = 1u64 << (bit % 64);
-            let prev = self.arena[(bit / 64) as usize].fetch_or(mask, Ordering::SeqCst);
-            fresh |= prev & mask == 0;
-        }
-        if fresh {
-            self.inserted.fetch_add(1, Ordering::SeqCst);
-            Insert::Inserted(Arc::new(state.clone()))
-        } else {
-            budget.release();
-            Insert::Duplicate
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.inserted.load(Ordering::SeqCst)
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.arena.len() * 8
-    }
-
-    fn kind(&self) -> VisitedKind {
-        VisitedKind::Bitstate {
-            arena_bytes: self.arena_bytes,
-            hashes: self.hashes,
-        }
-    }
-
-    fn omission_probability(&self) -> f64 {
-        bloom_omission_probability(self.bits, self.hashes, self.len())
-    }
-}
-
-/// The concrete shared backend held by the parallel explorer (the mirror
-/// of [`AnyVisited`]).
-pub(crate) enum AnySharedVisited {
-    Exact(ShardedExactVisited),
-    Compact(ShardedCompactVisited),
-    Bitstate(ShardedBitstateVisited),
-}
-
-impl AnySharedVisited {
-    pub(crate) fn new(kind: VisitedKind, per_state_bytes: usize) -> AnySharedVisited {
-        match kind {
-            VisitedKind::Exact => {
-                AnySharedVisited::Exact(ShardedExactVisited::new(per_state_bytes))
-            }
-            VisitedKind::Compact => AnySharedVisited::Compact(ShardedCompactVisited::new()),
-            VisitedKind::Bitstate {
-                arena_bytes,
-                hashes,
-            } => AnySharedVisited::Bitstate(ShardedBitstateVisited::new(arena_bytes, hashes)),
-            // Defensive: the explorer routes disk-backed searches to the
-            // sequential kernel, so this arm only serves a caller that
-            // bypasses that gate — exact membership keeps it sound.
-            VisitedKind::DiskExact => {
-                AnySharedVisited::Exact(ShardedExactVisited::new(per_state_bytes))
-            }
-        }
-    }
-
-    /// Inserts a state already paid for (the initial state, or states
-    /// replayed from a snapshot).
-    pub(crate) fn insert_unbudgeted(&self, state: &State) {
-        let unlimited = StateBudget::unlimited();
-        self.insert_if_new(state, &unlimited);
-    }
-
-    fn inner(&self) -> &dyn SharedVisitedSet {
-        match self {
-            AnySharedVisited::Exact(s) => s,
-            AnySharedVisited::Compact(s) => s,
-            AnySharedVisited::Bitstate(s) => s,
-        }
-    }
-}
-
-impl SharedVisitedSet for AnySharedVisited {
-    fn contains(&self, state: &State) -> bool {
-        self.inner().contains(state)
-    }
-
-    fn insert_if_new(&self, state: &State, budget: &StateBudget) -> SharedInsert {
-        self.inner().insert_if_new(state, budget)
-    }
-
-    fn len(&self) -> usize {
-        self.inner().len()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.inner().approx_bytes()
-    }
-
-    fn kind(&self) -> VisitedKind {
-        self.inner().kind()
-    }
-
-    fn omission_probability(&self) -> f64 {
-        self.inner().omission_probability()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{Action, Guard, ProcessBuilder, ProgramBuilder};
     use crate::state::State;
     use crate::vfs::Vfs;
+    use std::sync::Arc;
 
     fn two_states() -> (State, State) {
         let chain = state_chain(2);
@@ -1475,13 +1001,13 @@ mod tests {
         ];
         for mut set in backends {
             assert!(!set.contains(&a), "{} starts empty", set.kind());
-            assert_eq!(set.insert_if_new(&a, true), Insert::Inserted(()));
+            assert_eq!(set.insert_if_new(&a, true), Insert::Inserted);
             assert!(set.contains(&a), "{} remembers inserts", set.kind());
             assert_eq!(set.insert_if_new(&a, true), Insert::Duplicate);
             assert!(!set.contains(&b), "{} distinguishes states", set.kind());
             assert_eq!(set.insert_if_new(&b, false), Insert::BudgetExhausted);
             assert!(!set.contains(&b), "{} refuses past the budget", set.kind());
-            assert_eq!(set.insert_if_new(&b, true), Insert::Inserted(()));
+            assert_eq!(set.insert_if_new(&b, true), Insert::Inserted);
             assert_eq!(set.len(), 2, "{} counts inserts", set.kind());
             assert!(set.approx_bytes() > 0);
         }
@@ -1521,78 +1047,6 @@ mod tests {
         set.insert_if_new(&b, true);
         assert_eq!(set.approx_bytes(), before);
         assert!(before >= 4096);
-    }
-
-    #[test]
-    fn sharded_backends_agree_with_sequential_membership() {
-        let (a, b) = two_states();
-        let budget = StateBudget::new(0, usize::MAX);
-        let shared: Vec<Box<dyn SharedVisitedSet>> = vec![
-            Box::new(ShardedExactVisited::new(128)),
-            Box::new(ShardedCompactVisited::new()),
-            Box::new(ShardedBitstateVisited::new(1024, 3)),
-        ];
-        for set in shared {
-            assert!(!set.contains(&a), "{} starts empty", set.kind());
-            assert_eq!(
-                set.insert_if_new(&a, &budget),
-                Insert::Inserted(Arc::new(a.clone()))
-            );
-            assert_eq!(set.insert_if_new(&a, &budget), Insert::Duplicate);
-            assert!(set.contains(&a));
-            assert!(!set.contains(&b), "{} distinguishes states", set.kind());
-            assert_eq!(
-                set.insert_if_new(&b, &budget),
-                Insert::Inserted(Arc::new(b.clone()))
-            );
-            assert_eq!(set.len(), 2, "{} counts inserts", set.kind());
-        }
-    }
-
-    #[test]
-    fn sharded_budget_charges_only_new_states() {
-        let (a, b) = two_states();
-        let set = ShardedExactVisited::new(128);
-        let budget = StateBudget::new(0, 1);
-        assert!(matches!(
-            set.insert_if_new(&a, &budget),
-            Insert::Inserted(_)
-        ));
-        // A duplicate never touches the budget, even at the cap.
-        assert_eq!(set.insert_if_new(&a, &budget), Insert::Duplicate);
-        assert_eq!(budget.reserved(), 1);
-        // A genuinely new state past the cap trips.
-        assert_eq!(set.insert_if_new(&b, &budget), Insert::BudgetExhausted);
-        assert!(!set.contains(&b), "a budget-refused state is not inserted");
-    }
-
-    #[test]
-    fn sharded_compact_hashes_match_sequential_backend() {
-        let (a, b) = two_states();
-        let mut seq = CompactVisited::new();
-        seq.insert_if_new(&a, true);
-        seq.insert_if_new(&b, true);
-        let shared = ShardedCompactVisited::new();
-        let budget = StateBudget::unlimited();
-        shared.insert_if_new(&a, &budget);
-        shared.insert_if_new(&b, &budget);
-        assert_eq!(seq.snapshot_hashes(), shared.snapshot_hashes());
-    }
-
-    #[test]
-    fn sharded_bitstate_arena_matches_sequential_backend() {
-        let (a, b) = two_states();
-        let mut seq = BitstateVisited::new(1024, 3);
-        seq.insert_if_new(&a, true);
-        seq.insert_if_new(&b, true);
-        let shared = ShardedBitstateVisited::new(1024, 3);
-        let budget = StateBudget::unlimited();
-        shared.insert_if_new(&a, &budget);
-        shared.insert_if_new(&b, &budget);
-        let (seq_arena, seq_inserted) = seq.snapshot_arena();
-        let (shared_arena, shared_inserted) = shared.snapshot_arena();
-        assert_eq!(seq_arena, shared_arena.as_slice());
-        assert_eq!(seq_inserted, shared_inserted);
     }
 
     #[test]
@@ -1676,7 +1130,7 @@ mod tests {
                 if op == 0 {
                     proptest::prop_assert_eq!(set.contains(&states[i]), model.contains(&pool[i]));
                 } else {
-                    let inserted = matches!(set.insert_if_new(&states[i], true), Insert::Inserted(_));
+                    let inserted = matches!(set.insert_if_new(&states[i], true), Insert::Inserted);
                     proptest::prop_assert_eq!(inserted, model.insert(pool[i].clone()));
                 }
                 proptest::prop_assert!(set.take_error().is_none());

@@ -1,30 +1,28 @@
-//! Differential tests: the parallel safety search must agree with the
-//! sequential kernel.
+//! Differential tests: the safety search at several threads must agree
+//! with the one-thread search.
 //!
-//! For every corpus program, parallel runs at 2, 4, and 8 threads are
-//! compared against the sequential (1-thread) run:
+//! At `threads > 1` the search expands a round of frontier states on
+//! worker threads and then commits the expansions one by one in queue
+//! order, through the code one thread runs. So for every corpus program,
+//! runs at 2, 4, and 8 threads equal the one-thread run field by field —
+//! outcome, counterexample trace event by event, `truncated`, and every
+//! statistic — except two:
 //!
-//! * identical verdicts, always;
-//! * identical `unique_states`, `steps`, and `max_depth` for exhaustive
-//!   `Holds` runs under the exact backend (the parallel kernel explores
-//!   the same reduced state graph, level by level);
-//! * violation traces of the same (shortest) length that replay exactly
-//!   against the program.
+//! * `elapsed`, the wall clock;
+//! * `approx_memory_bytes`, the peak of a memory estimate that is sampled
+//!   before every state at one thread but once per round at more.
 //!
-//! The determinism contract is pinned here too: a 1-thread run is fully
-//! reproducible (byte-identical report modulo wall-clock `elapsed`);
-//! for threads > 1 the verdict and the exhaustive-run counters above are
-//! stable, while `peak_frontier`, `approx_memory_bytes`, `elapsed`, and
-//! *which* counterexample is reported may vary between runs.
+//! Every run is reproducible the same way: repeating it at any thread
+//! count gives the same report, and a 1-thread run is byte-identical
+//! modulo `elapsed`. Reported traces replay exactly against the program.
 
 use std::cell::RefCell;
-use std::mem::discriminant;
 use std::rc::Rc;
 use std::time::Duration;
 
 use pnp_kernel::{
     expr, Action, Checker, Guard, Predicate, ProcessBuilder, Program, ProgramBuilder, SafetyChecks,
-    SafetyOutcome, SearchConfig, Snapshot, VisitedKind,
+    SafetyOutcome, SafetyReport, SearchConfig, SearchStats, Snapshot, VisitedKind,
 };
 
 /// Two processes that each toggle a shared flag `n` times.
@@ -211,6 +209,57 @@ fn seeded_invariant_bug() -> (Program, SafetyChecks) {
     (program, checks)
 }
 
+/// `procs` processes that each add to a shared total `rounds` times and
+/// then finish, the last step asserting `total < finish_bound` when one
+/// is given. Interleavings make BFS levels of hundreds of states, so a
+/// multi-thread search expands its rounds on several workers.
+fn wide_race(procs: usize, rounds: i32, finish_bound: Option<i32>) -> Program {
+    let mut prog = ProgramBuilder::new();
+    let total = prog.global("total", 0);
+    for i in 0..procs {
+        let mut p = ProcessBuilder::new(format!("p{i}"));
+        let count = p.local("count", 0);
+        let s0 = p.location("loop");
+        let s1 = p.location("done");
+        p.mark_end(s1);
+        p.transition(
+            s0,
+            s0,
+            Guard::when(expr::lt(expr::local(count), rounds.into())),
+            Action::assign_all(vec![
+                (total.into(), expr::global(total) + 1.into()),
+                (count.into(), expr::local(count) + 1.into()),
+            ]),
+            "add",
+        );
+        let finish = match finish_bound {
+            Some(bound) => Action::assert(expr::lt(expr::global(total), bound.into()), "early"),
+            None => Action::Skip,
+        };
+        p.transition(
+            s0,
+            s1,
+            Guard::when(expr::ge(expr::local(count), rounds.into())),
+            finish,
+            "finish",
+        );
+        prog.add_process(p).unwrap();
+    }
+    prog.build().unwrap()
+}
+
+/// An invariant `total < bound` over [`wide_race`]'s total.
+fn total_below(program: &Program, bound: i32) -> SafetyChecks {
+    let total = program.global_by_name("total").unwrap();
+    SafetyChecks {
+        deadlock: true,
+        invariants: vec![(
+            format!("total under {bound}"),
+            Predicate::from_expr(expr::lt(expr::global(total), bound.into())),
+        )],
+    }
+}
+
 /// The differential corpus: name, program, and the checks to run.
 fn corpus() -> Vec<(&'static str, Program, SafetyChecks)> {
     let mut corpus = Vec::new();
@@ -259,6 +308,20 @@ fn corpus() -> Vec<(&'static str, Program, SafetyChecks)> {
     let (program, checks) = seeded_invariant_bug();
     corpus.push(("seeded invariant bug", program, checks));
 
+    let program = wide_race(4, 5, None);
+    let checks = total_below(&program, 21);
+    corpus.push(("wide race holds", program, checks));
+
+    let program = wide_race(4, 5, None);
+    let checks = total_below(&program, 11);
+    corpus.push(("wide race invariant bug", program, checks));
+
+    corpus.push((
+        "wide race assertion bug",
+        wide_race(4, 5, Some(17)),
+        SafetyChecks::deadlock_only(),
+    ));
+
     corpus
 }
 
@@ -267,7 +330,7 @@ fn run(
     checks: &SafetyChecks,
     threads: usize,
     visited: VisitedKind,
-) -> pnp_kernel::SafetyReport {
+) -> SafetyReport {
     Checker::with_config(
         program,
         SearchConfig {
@@ -280,41 +343,38 @@ fn run(
     .unwrap()
 }
 
+/// Asserts that `report` is `reference` field by field, except `elapsed`
+/// and `approx_memory_bytes` (see the module docs). Outcomes compare
+/// whole, so a trace compares event by event.
+fn assert_same_report(what: &str, report: &SafetyReport, reference: &SafetyReport) {
+    assert_eq!(report.outcome, reference.outcome, "{what}: outcome");
+    assert_eq!(report.truncated, reference.truncated, "{what}: truncated");
+    let comparable = |stats: &SearchStats| {
+        format!(
+            "{:?}",
+            SearchStats {
+                elapsed: Duration::ZERO,
+                approx_memory_bytes: 0,
+                ..*stats
+            }
+        )
+    };
+    assert_eq!(
+        comparable(&report.stats),
+        comparable(&reference.stats),
+        "{what}: stats"
+    );
+}
+
 #[test]
 fn parallel_matches_sequential_on_corpus() {
     for (name, program, checks) in corpus() {
         let seq = run(&program, &checks, 1, VisitedKind::Exact);
         for threads in [2, 4, 8] {
             let par = run(&program, &checks, threads, VisitedKind::Exact);
-            assert_eq!(
-                discriminant(&par.outcome),
-                discriminant(&seq.outcome),
-                "{name}@{threads}: verdict {:?} vs sequential {:?}",
-                par.outcome,
-                seq.outcome
-            );
-            if seq.outcome.is_holds() {
-                assert_eq!(
-                    par.stats.unique_states, seq.stats.unique_states,
-                    "{name}@{threads}: states"
-                );
-                assert_eq!(par.stats.steps, seq.stats.steps, "{name}@{threads}: steps");
-                assert_eq!(
-                    par.stats.max_depth, seq.stats.max_depth,
-                    "{name}@{threads}: depth"
-                );
-            } else {
-                // BFS shortest-counterexample property: the parallel trace
-                // may differ from the sequential one but must be equally
-                // short and must replay exactly.
-                let seq_trace = seq.outcome.trace().expect("sequential trace");
-                let par_trace = par.outcome.trace().expect("parallel trace");
-                assert_eq!(
-                    par_trace.len(),
-                    seq_trace.len(),
-                    "{name}@{threads}: trace length"
-                );
-                let end = Checker::new(&program).replay_trace(par_trace).unwrap();
+            assert_same_report(&format!("{name}@{threads}"), &par, &seq);
+            if let Some(trace) = par.outcome.trace() {
+                let end = Checker::new(&program).replay_trace(trace).unwrap();
                 assert!(end.is_some(), "{name}@{threads}: trace must replay exactly");
             }
         }
@@ -334,16 +394,7 @@ fn parallel_matches_sequential_without_reduction() {
         let par = Checker::with_config(&program, SearchConfig { threads: 4, ..base })
             .check_safety(&checks)
             .unwrap();
-        assert_eq!(
-            discriminant(&par.outcome),
-            discriminant(&seq.outcome),
-            "{name}: verdict"
-        );
-        if seq.outcome.is_holds() {
-            assert_eq!(par.stats.unique_states, seq.stats.unique_states, "{name}");
-            assert_eq!(par.stats.steps, seq.stats.steps, "{name}");
-            assert_eq!(par.stats.max_depth, seq.stats.max_depth, "{name}");
-        }
+        assert_same_report(name, &par, &seq);
     }
 }
 
@@ -351,17 +402,11 @@ fn parallel_matches_sequential_without_reduction() {
 fn parallel_compact_backend_agrees_on_corpus() {
     // The corpus is far too small for 64-bit hash collisions, so the
     // compact backend must report the same (approximate) verdicts and
-    // state counts in both kernels.
+    // state counts at every thread count.
     for (name, program, checks) in corpus() {
         let seq = run(&program, &checks, 1, VisitedKind::Compact);
         let par = run(&program, &checks, 4, VisitedKind::Compact);
-        assert_eq!(
-            discriminant(&par.outcome),
-            discriminant(&seq.outcome),
-            "{name}: verdict {:?} vs {:?}",
-            par.outcome,
-            seq.outcome
-        );
+        assert_same_report(name, &par, &seq);
         if let (
             SafetyOutcome::HoldsApprox {
                 states_visited: s, ..
@@ -379,8 +424,8 @@ fn parallel_compact_backend_agrees_on_corpus() {
 
 #[test]
 fn single_thread_reports_are_byte_identical_across_runs() {
-    // threads = 1 dispatches to the exact sequential kernel: everything
-    // except wall-clock `elapsed` is reproducible bit for bit.
+    // At threads = 1 everything except wall-clock `elapsed` is
+    // reproducible bit for bit.
     for (name, program, checks) in corpus() {
         let reports: Vec<String> = (0..3)
             .map(|_| {
@@ -432,9 +477,8 @@ fn interrupt_with_budget(
 #[test]
 fn resume_at_different_thread_count_matches_uninterrupted_run() {
     // Interrupt an exhaustive `Holds` search mid-way, then resume from
-    // the checkpoint at *different* thread counts. The level-synchronized
-    // design guarantees the resumed totals equal the uninterrupted run's,
-    // regardless of how many workers finish the job.
+    // the checkpoint at *different* thread counts. The resumed totals
+    // equal the uninterrupted run's, however many workers finish the job.
     for (name, program, checks) in corpus() {
         let reference = run(&program, &checks, 1, VisitedKind::Exact);
         if !reference.outcome.is_holds() {
@@ -533,8 +577,7 @@ fn repeated_interruptions_still_converge_to_exact_totals() {
 #[test]
 fn lossy_backend_resume_finds_parked_violation_and_trace_replays() {
     // The seeded invariant bug under the *lossy* compact backend: the
-    // search is interrupted at a level boundary before the violation
-    // level is reached (the candidate is still "parked" in the frontier),
+    // search is interrupted before the violation level is reached (the candidate is still "parked" in the frontier),
     // then resumed at a different thread count. The resumed search must
     // surface the violation, and — because lossy backends replay-validate
     // candidates — the reported trace must replay exactly against the
@@ -589,26 +632,36 @@ fn lossy_backend_resume_finds_parked_violation_and_trace_replays() {
 
 #[test]
 fn multi_thread_verdicts_are_stable_across_runs() {
-    // For threads > 1 the *verdict* is deterministic, and so are the
-    // exhaustive-run counters (unique_states/steps/max_depth). The fields
-    // allowed to vary are: which counterexample is reported (same length,
-    // still shortest), `peak_frontier`, `approx_memory_bytes`, and
-    // `elapsed`.
+    // Every multi-thread run is the one-thread run: the same verdict,
+    // counterexample and counters, run after run, including a run that a
+    // `max_states` trip stops in the middle of a round (its rolled-back
+    // frontier and `states_covered` are the one-thread ones).
     for (name, program, checks) in corpus() {
-        let a = run(&program, &checks, 4, VisitedKind::Exact);
-        let b = run(&program, &checks, 4, VisitedKind::Exact);
-        assert_eq!(
-            discriminant(&a.outcome),
-            discriminant(&b.outcome),
-            "{name}: verdict stable"
-        );
-        if a.outcome.is_holds() {
-            assert_eq!(a.stats.unique_states, b.stats.unique_states, "{name}");
-            assert_eq!(a.stats.steps, b.stats.steps, "{name}");
-            assert_eq!(a.stats.max_depth, b.stats.max_depth, "{name}");
-        }
-        if let (Some(ta), Some(tb)) = (a.outcome.trace(), b.outcome.trace()) {
-            assert_eq!(ta.len(), tb.len(), "{name}: shortest-trace length stable");
+        let seq = run(&program, &checks, 1, VisitedKind::Exact);
+        let tripped_at = |threads: usize| {
+            Checker::with_config(
+                &program,
+                SearchConfig {
+                    threads,
+                    max_states: seq.stats.unique_states / 2,
+                    ..SearchConfig::default()
+                },
+            )
+            .check_safety(&checks)
+            .unwrap()
+        };
+        let seq_tripped = tripped_at(1);
+        for threads in [2, 4, 8] {
+            for attempt in 0..2 {
+                let what = format!("{name}@{threads} (run {attempt})");
+                let par = run(&program, &checks, threads, VisitedKind::Exact);
+                assert_same_report(&what, &par, &seq);
+                assert_same_report(
+                    &format!("{what}, tripped"),
+                    &tripped_at(threads),
+                    &seq_tripped,
+                );
+            }
         }
     }
 }

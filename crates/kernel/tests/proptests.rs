@@ -15,10 +15,9 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use pnp_kernel::{
-    expr, Action, BitstateVisited, Checker, CompactVisited, ExactVisited, Expr, Guard, LtlOutcome,
-    Predicate, ProcessBuilder, Program, ProgramBuilder, Proposition, SafetyChecks, SafetyOutcome,
-    SearchConfig, ShardedBitstateVisited, ShardedCompactVisited, ShardedExactVisited,
-    SharedVisitedSet, Simulator, Snapshot, State, StateBudget, VisitedKind, VisitedSet,
+    expr, Action, Checker, Expr, Guard, LtlOutcome, Predicate, ProcessBuilder, Program,
+    ProgramBuilder, Proposition, SafetyChecks, SafetyOutcome, SearchConfig, Simulator, Snapshot,
+    VisitedKind,
 };
 
 mod common;
@@ -129,10 +128,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The parallel kernel never fabricates a violation on a safe program
-    /// and never reports `Holds` when the sequential search finds a bug.
-    /// For exhaustive `Holds` runs the exact-backend state/step/depth
-    /// counters are identical (same reduced graph, level by level).
+    /// A multi-thread search never fabricates a violation on a safe
+    /// program and never reports `Holds` when the one-thread search finds
+    /// a bug. For exhaustive `Holds` runs the exact-backend
+    /// state/step/depth counters are identical.
     #[test]
     fn parallel_search_agrees_with_sequential(
         procs in proptest::collection::vec(
@@ -182,87 +181,6 @@ proptest! {
             prop_assert_eq!(par.stats.steps, seq.stats.steps);
             prop_assert_eq!(par.stats.max_depth, seq.stats.max_depth);
         }
-    }
-}
-
-/// Builds a distinct [`State`] for each global valuation by instantiating a
-/// trivial program whose globals start at those values.
-fn state_for(vals: (i32, i32, i32)) -> State {
-    let mut prog = ProgramBuilder::new();
-    prog.global("g0", vals.0);
-    prog.global("g1", vals.1);
-    prog.global("g2", vals.2);
-    let mut p = ProcessBuilder::new("idle");
-    let s0 = p.location("s0");
-    p.mark_end(s0);
-    prog.add_process(p).unwrap();
-    State::initial(&prog.build().unwrap())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Sharded visited-set membership agrees with the unsharded sequential
-    /// backends after randomized, interleaved concurrent inserts (including
-    /// re-inserted duplicates), for all three backend families.
-    #[test]
-    fn sharded_visited_membership_agrees_with_unsharded(
-        vals in proptest::collection::vec((0i32..50, 0i32..50, 0i32..50), 1..32),
-        probes in proptest::collection::vec((0i32..50, 0i32..50, 0i32..50), 1..16),
-        threads in 2usize..5,
-    ) {
-        let states: Vec<std::sync::Arc<State>> =
-            vals.iter().map(|v| std::sync::Arc::new(state_for(*v))).collect();
-
-        // Sequential reference backends.
-        let mut exact = ExactVisited::new(64);
-        let mut compact = CompactVisited::new();
-        let mut bitstate = BitstateVisited::new(1024, 3);
-        for s in &states {
-            exact.insert_if_new(s, true);
-            compact.insert_if_new(s, true);
-            bitstate.insert_if_new(s, true);
-        }
-
-        // Sharded backends, populated from `threads` workers that interleave
-        // inserts (each worker also re-inserts its predecessor's states, so
-        // duplicate insertion races are exercised).
-        let sh_exact = ShardedExactVisited::new(64);
-        let sh_compact = ShardedCompactVisited::new();
-        let sh_bitstate = ShardedBitstateVisited::new(1024, 3);
-        let budget = StateBudget::unlimited();
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let states = &states;
-                let (sh_exact, sh_compact, sh_bitstate) = (&sh_exact, &sh_compact, &sh_bitstate);
-                let budget = &budget;
-                scope.spawn(move || {
-                    for (i, s) in states.iter().enumerate() {
-                        if i % threads == w || (i + 1) % threads == w {
-                            sh_exact.insert_if_new(s, budget);
-                            sh_compact.insert_if_new(s, budget);
-                            sh_bitstate.insert_if_new(s, budget);
-                        }
-                    }
-                });
-            }
-        });
-
-        for (v, s) in vals.iter().zip(&states) {
-            prop_assert!(sh_exact.contains(s), "exact lost {v:?}");
-            prop_assert!(sh_compact.contains(s), "compact lost {v:?}");
-            prop_assert!(sh_bitstate.contains(s), "bitstate lost {v:?}");
-        }
-        // Sharded and unsharded backends hash with the same seeds, so they
-        // must agree on *every* probe — members and non-members alike.
-        for v in &probes {
-            let probe = state_for(*v);
-            prop_assert_eq!(sh_exact.contains(&probe), exact.contains(&probe), "{:?}", v);
-            prop_assert_eq!(sh_compact.contains(&probe), compact.contains(&probe), "{:?}", v);
-            prop_assert_eq!(sh_bitstate.contains(&probe), bitstate.contains(&probe), "{:?}", v);
-        }
-        prop_assert_eq!(sh_exact.len(), exact.len());
-        prop_assert_eq!(sh_compact.len(), compact.len());
     }
 }
 

@@ -39,14 +39,13 @@
 //!   budget trips or the run is interrupted with Ctrl-C);
 //! - `--resume FILE` continues an interrupted run from a snapshot.
 //!
-//! Parallelism: `--threads N` (default 1) runs safety searches with `N`
-//! worker threads over a sharded visited set, and LTL properties with an
-//! `N`-worker swarmed CNDFS acceptance-cycle search. `--threads 1` is
-//! exactly the sequential kernel; any `N` reports identical verdicts, and
-//! exhaustive safety runs report identical state counts (LTL stats fields
-//! reflect whichever worker interleaving won — every reported lasso is
-//! replay-validated first). Checkpoints written at any thread count can be
-//! resumed at any other.
+//! Parallelism: `--threads N` (default 1) expands safety searches' states
+//! on `N` threads, and runs LTL properties with an `N`-worker swarmed
+//! CNDFS acceptance-cycle search. A safety search reports the same
+//! verdict, counterexample and state count at any `N`; LTL verdicts are
+//! identical too (LTL stats fields reflect whichever worker interleaving
+//! won — every reported lasso is replay-validated first). Checkpoints
+//! written at any thread count can be resumed at any other.
 //!
 //! Remote verification: `--submit URL` sends the specification (with any
 //! `--fault` rewrites applied) to a running `pnp-serve` daemon instead of

@@ -123,11 +123,13 @@ pub type SinkFactory = Arc<dyn Fn(&Path) -> Box<dyn SnapshotSink> + Send + Sync>
 /// machinery (cancellation, checkpointing, resume).
 #[derive(Clone, Default)]
 pub struct VerifyOptions {
-    /// Search budgets, the visited-set backend, and the worker-thread
-    /// count: `config.threads > 1` runs each safety search in parallel
-    /// and each LTL property through the swarmed CNDFS acceptance-cycle
-    /// search (identical verdicts either way; see
-    /// [`SearchConfig::threads`]).
+    /// Search budgets, the visited-set backend, the spill threshold and
+    /// the worker-thread count: `config.threads > 1` expands each safety
+    /// search's states on that many threads (the same report, trace and
+    /// checkpoints as one thread; spilling and resume work as at one
+    /// thread) and runs each LTL property through the swarmed CNDFS
+    /// acceptance-cycle search (the same verdict). See
+    /// [`SearchConfig::threads`].
     pub config: SearchConfig,
     /// Cooperative cancellation, typically wired to SIGINT. A cancelled
     /// run reports the affected property as inconclusive and — when

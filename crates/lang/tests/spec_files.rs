@@ -166,6 +166,11 @@ fn parser_never_panics_on_garbage() {
 /// is zeroed before hashing; the trailing checksum covers it and is left
 /// out. The snapshots of the backends no other test resumes must also
 /// resume to the uninterrupted run's totals.
+///
+/// A two-thread search that trips the same budget must flush the same
+/// parent links, depths, frontier and visited payload (everything after
+/// the statistics), and its snapshot must resume at one thread to the
+/// uninterrupted totals.
 #[test]
 fn wire_snapshots_encode_identically_and_resume() {
     use pnp_kernel::{
@@ -228,20 +233,25 @@ fn wire_snapshots_encode_identically_and_resume() {
             .spill_to(storage(), "/spill")
             .check_safety(&checks)
             .unwrap();
-        let sink = Rc::new(RefCell::new(Vec::new()));
-        let tripped = Checker::with_config(
-            program,
-            SearchConfig {
-                max_states: full.stats.unique_states / 2,
-                ..config
-            },
-        )
-        .spill_to(storage(), "/spill")
-        .checkpoint_to(Rc::clone(&sink))
-        .check_safety(&checks)
-        .unwrap();
-        assert!(tripped.truncated, "{name}: {tripped}");
-        let mut bytes = sink.borrow().clone();
+        let trip = |threads: usize| {
+            let sink = Rc::new(RefCell::new(Vec::new()));
+            let tripped = Checker::with_config(
+                program,
+                SearchConfig {
+                    max_states: full.stats.unique_states / 2,
+                    threads,
+                    ..config
+                },
+            )
+            .spill_to(storage(), "/spill")
+            .checkpoint_to(Rc::clone(&sink))
+            .check_safety(&checks)
+            .unwrap();
+            assert!(tripped.truncated, "{name}@{threads}: {tripped}");
+            let bytes = sink.borrow().clone();
+            bytes
+        };
+        let mut bytes = trip(1);
         let snapshot = Snapshot::decode(&bytes).unwrap();
         // magic, version, fingerprint, tag, backend, then four stats
         // words before `elapsed_nanos`.
@@ -250,6 +260,28 @@ fn wire_snapshots_encode_identically_and_resume() {
             _ => 1,
         };
         let at = 8 + 4 + 8 + 8 + snapshot.tag().len() + backend + 4 * 8;
+        // Parent links, depths, frontier and visited payload follow the
+        // nine statistics words.
+        let body = at + 5 * 8..bytes.len() - 8;
+        let two_threads = trip(2);
+        assert_eq!(
+            two_threads[body.clone()],
+            bytes[body.clone()],
+            "{name}: the two-thread snapshot's search state"
+        );
+        let resumed = Checker::resume_from(program, Snapshot::decode(&two_threads).unwrap())
+            .unwrap()
+            .with_search_config(config)
+            .spill_to(storage(), "/spill")
+            .check_safety(&checks)
+            .unwrap();
+        assert_eq!(resumed.outcome, full.outcome, "{name}: two-thread resume");
+        assert_eq!(
+            (resumed.stats.unique_states, resumed.stats.steps),
+            (full.stats.unique_states, full.stats.steps),
+            "{name}: two-thread resume"
+        );
+        assert_eq!(resumed.stats.max_depth, full.stats.max_depth, "{name}");
         bytes[at..at + 8].fill(0);
         let hash = checksum64(&bytes[..bytes.len() - 8]);
         assert_eq!(

@@ -67,9 +67,8 @@ fn pipe_state_counts_match_experiments_table() {
 
 #[test]
 fn threads_one_is_behaviorally_identical_to_sequential() {
-    // `--threads 1` must dispatch to the exact sequential kernel: the
-    // golden counts above are reproduced bit for bit under an explicit
-    // single-thread config.
+    // `--threads 1` is the one-thread search: the golden counts above are
+    // reproduced bit for bit under an explicit single-thread config.
     let system = exactly_n_bridge(&BridgeConfig::buggy()).unwrap();
     let program = system.program();
     let report = Checker::with_config(
@@ -90,9 +89,9 @@ fn threads_one_is_behaviorally_identical_to_sequential() {
 
 #[test]
 fn parallel_search_reproduces_golden_counts() {
-    // The level-synchronised parallel kernel explores the same reduced
-    // state graph as the sequential kernel, so exhaustive Holds runs must
-    // reproduce the golden counts exactly at any worker count.
+    // A multi-thread search commits its expansions in the one-thread
+    // order, so exhaustive Holds runs must reproduce the golden counts
+    // exactly at any worker count.
     let expectations = [
         (SendPortKind::AsynNonblocking, 226usize),
         (SendPortKind::AsynBlocking, 194),
@@ -126,7 +125,7 @@ fn parallel_search_reproduces_golden_counts() {
     }
 
     // Violations keep the BFS shortest-counterexample guarantee: the buggy
-    // bridge trace has the same golden length under the parallel kernel.
+    // bridge trace has the same golden length at four threads.
     let system = exactly_n_bridge(&BridgeConfig::buggy()).unwrap();
     let program = system.program();
     let report = Checker::with_config(
@@ -147,10 +146,10 @@ fn parallel_search_reproduces_golden_counts() {
 #[test]
 fn budget_counting_point_is_identical_in_both_kernels() {
     // Regression for the budget counting point: `max_states` counts unique
-    // *interned* states, charged strictly after the visited-set dedup, in
-    // both kernels. The AsynBlocking wire explores exactly 194 states, so
-    // a budget of 194 completes (Holds) and a budget of 193 trips with
-    // `states_covered == 193` — sequential and parallel alike.
+    // *interned* states, charged strictly after the visited-set dedup, at
+    // one thread and at four. The AsynBlocking wire explores exactly 194
+    // states, so a budget of 194 completes (Holds) and a budget of 193
+    // trips with `states_covered == 193` at either thread count.
     let run = |threads: usize, max_states: usize| {
         let wire = wire_system(
             SendPortKind::AsynBlocking,
