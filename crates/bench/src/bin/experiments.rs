@@ -29,89 +29,6 @@ fn main() {
     visited_backends();
     e15_parallel_scaling();
     e16_service_soak();
-    e20_liveness_scaling();
-}
-
-fn e20_liveness_scaling() {
-    use pnp_bridge::{safety_invariant, side_props};
-    use pnp_kernel::{Fairness, LtlOutcome, Proposition, SearchConfig};
-
-    println!("== E20: parallel liveness search (CNDFS) — thread scaling ==");
-    println!("(host has {} CPU(s) available)", available_cpus());
-    println!(
-        "{:<38} {:>8} {:>10} {:>10} {:>9} {:>8}",
-        "model / formula", "threads", "verdict", "states", "time", "speedup"
-    );
-    let run = |label: &str,
-               system: &pnp_core::System,
-               formula: &str,
-               props: &[Proposition],
-               fairness: Fairness| {
-        let parsed = pnp_ltl::parse(formula).expect("formula parses");
-        let mut base = None;
-        for threads in [1usize, 2, 4, 8] {
-            let t0 = Instant::now();
-            let report = Checker::with_config(
-                system.program(),
-                SearchConfig {
-                    threads,
-                    ..SearchConfig::default()
-                },
-            )
-            .check_ltl_with(&parsed, props, fairness)
-            .expect("liveness check runs");
-            let elapsed = t0.elapsed();
-            let base_time = *base.get_or_insert(elapsed);
-            println!(
-                "{:<38} {:>8} {:>10} {:>10} {:>8.2?} {:>7.2}x",
-                label,
-                threads,
-                match report.outcome {
-                    LtlOutcome::Holds => "LIVE",
-                    LtlOutcome::Violated { .. } => "LASSO",
-                },
-                report.stats.unique_states,
-                elapsed,
-                base_time.as_secs_f64() / elapsed.as_secs_f64()
-            );
-        }
-    };
-
-    let bridge =
-        exactly_n_bridge(&BridgeConfig::fixed().with_laps(Some(1))).expect("fixed bridge builds");
-    let (_, safe) = safety_invariant(bridge.program());
-    let safe_props = vec![Proposition::new("safe", safe)];
-    run(
-        "bridge [] safe (weak fairness)",
-        &bridge,
-        "[] safe",
-        &safe_props,
-        Fairness::Weak,
-    );
-    run(
-        "bridge [] safe (POR, no fairness)",
-        &bridge,
-        "[] safe",
-        &safe_props,
-        Fairness::None,
-    );
-    let starving = exactly_n_bridge(&BridgeConfig::fixed().with_cars(1, 0).with_laps(None))
-        .expect("starving bridge builds");
-    let props = side_props(starving.program());
-    run(
-        "bridge [] <> blue_on (starvation)",
-        &starving,
-        "[] <> blue_on",
-        &props,
-        Fairness::Weak,
-    );
-    println!(
-        "(LIVE runs color the whole product, so their states column is invariant across \
-         thread counts; LASSO runs stop at the first validated cycle, so states reflect \
-         whichever worker interleaving won. Every lasso is replay-validated before it \
-         is reported; speedup is wall-clock vs the 1-thread row on this host.)"
-    );
-    println!();
 }
 
 fn e16_service_soak() {

@@ -252,12 +252,9 @@ pub struct SearchConfig {
     /// except `elapsed` and `approx_memory_bytes` is the one-thread run's.
     /// Only the budget, spill and checkpoint checks coarsen, to once per
     /// round; every visited backend, spilling, checkpoints and resume
-    /// work at any thread count. LTL checking
-    /// ([`Checker::check_ltl`]) runs a swarmed CNDFS acceptance-cycle
-    /// search at `threads > 1`: the verdict always matches the sequential
-    /// nested DFS (every parallel-found lasso is replay-validated before
-    /// it is reported; see [`crate::LtlReport::fallback`]), while the stats
-    /// fields reflect whichever worker interleaving won.
+    /// work at any thread count. LTL checking ([`Checker::check_ltl`])
+    /// ignores this field: its nested DFS runs on the calling thread at
+    /// any value, so an LTL report does not depend on it.
     pub threads: usize,
     /// Memory-pressure spill threshold in bytes (default none). When the
     /// estimated footprint crosses it, the search moves its in-RAM exact
@@ -657,15 +654,16 @@ fn approx_state_bytes(program: &Program) -> usize {
 
 /// Captures the visited-set backend's content for a snapshot. Exact sets
 /// serialize nothing — their content is reconstructed from the parent links
-/// on resume, which is smaller and self-validating.
-fn visited_payload(visited: &AnyVisited) -> VisitedPayload {
+/// on resume, which is smaller and self-validating. The bitstate arena is
+/// borrowed, not copied; compact hashes are sorted into a copy.
+fn visited_payload(visited: &AnyVisited) -> VisitedPayload<'_> {
     match visited {
         AnyVisited::Exact(_) | AnyVisited::Disk(_) => VisitedPayload::Exact,
-        AnyVisited::Compact(set) => VisitedPayload::Compact(set.snapshot_hashes()),
+        AnyVisited::Compact(set) => VisitedPayload::Compact(set.snapshot_hashes().into()),
         AnyVisited::Bitstate(set) => {
             let (arena, inserted) = set.snapshot_arena();
             VisitedPayload::Bitstate {
-                arena: arena.to_vec(),
+                arena: arena.into(),
                 inserted: inserted as u64,
             }
         }
@@ -804,7 +802,7 @@ fn restore_visited(
             Ok(AnyVisited::Bitstate(BitstateVisited::from_arena(
                 arena_bytes,
                 hashes,
-                arena.clone(),
+                arena.to_vec(),
                 usize::try_from(*inserted).unwrap_or(usize::MAX),
             )))
         }
@@ -1024,6 +1022,20 @@ fn default_spill_storage() -> (VfsHandle, PathBuf) {
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("pnp-spill-{}-{n}", std::process::id()));
     (crate::vfs::real_fs(), dir)
+}
+
+/// Removes a [`default_spill_storage`] directory when the search that
+/// made it ends, by whatever path: a verdict, a tripped budget, an error,
+/// a cancellation or a panic. Nothing refers to the directory after the
+/// search: a checkpoint copies the spilled frontier into the snapshot,
+/// and resume rebuilds a disk-backed visited set from the parent links.
+struct SpillDirGuard(PathBuf);
+
+impl Drop for SpillDirGuard {
+    fn drop(&mut self) {
+        // The directory is absent when nothing spilled.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Constructs the disk-backed visited set under `storage`.
@@ -1441,10 +1453,16 @@ impl<'p> Checker<'p> {
         let program = self.program;
         let spill_at = self.config.spill_at_bytes;
         // Resolved lazily in spirit but once in practice: the directory is
-        // only ever created when something actually spills.
-        let storage = match &self.storage {
-            Some((vfs, dir)) => (VfsHandle::clone(vfs), dir.clone()),
-            None => default_spill_storage(),
+        // only ever created when something actually spills. A caller's
+        // directory stays; the default one goes when `_scratch` drops,
+        // after the out-of-core structures declared below it.
+        let (storage, _scratch) = match &self.storage {
+            Some((vfs, dir)) => ((VfsHandle::clone(vfs), dir.clone()), None),
+            None => {
+                let storage = default_spill_storage();
+                let guard = SpillDirGuard(storage.1.clone());
+                (storage, Some(guard))
+            }
         };
 
         // Partial-order reduction is only sound when every property reads

@@ -78,7 +78,6 @@ mod expression;
 mod extmem;
 mod liveness;
 mod outcome;
-mod pliveness;
 mod program;
 mod reduction;
 mod rng;

@@ -11,7 +11,7 @@
 //! with no enabled steps gets an implicit self-loop, so e.g. `<> p` is
 //! correctly reported violated by a system that halts before `p`.
 //!
-//! The sequential search keeps its system states in a
+//! The search keeps its system states in a
 //! [`StateArena`] and everything it learns about them in flat arrays
 //! indexed by state id, expanding each system state once; product nodes
 //! are exact integer keys with one flag byte each, and a found lasso is
@@ -27,9 +27,10 @@ use crate::explore::{CancelToken, Checker, Predicate, SearchStats};
 use crate::program::ProcId;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::state::{
-    apply_step, apply_step_into, enabled_steps_into, KernelError, State, StateView, Step,
+    apply_step, apply_step_into, enabled_steps, enabled_steps_into, KernelError, State, StateView,
+    Step,
 };
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{EventKind, Trace, TraceEvent};
 
 /// A named atomic proposition: binds a name used in LTL formulas to a state
 /// predicate.
@@ -87,20 +88,15 @@ pub struct LtlReport {
     /// `true` when the search hit [`crate::SearchConfig::max_states`] system
     /// states before completion; a `Holds` outcome is then only partial.
     pub truncated: bool,
-    /// `Some(reason)` when a multi-threaded check
-    /// ([`crate::SearchConfig::threads`] > 1) fell back to the sequential
-    /// nested-DFS algorithm; the outcome is then the sequential one.
-    /// Always `None` for a sequential check.
-    pub fallback: Option<&'static str>,
 }
 
 /// A compiled Büchi transition: literals resolved to proposition indices.
-pub(crate) struct CompiledTransition {
-    pub(crate) literals: Vec<(usize, bool)>,
-    pub(crate) target: usize,
+struct CompiledTransition {
+    literals: Vec<(usize, bool)>,
+    target: usize,
 }
 
-pub(crate) fn compile_buchi(
+fn compile_buchi(
     buchi: &Buchi,
     props: &[Proposition],
 ) -> Result<Vec<Vec<CompiledTransition>>, KernelError> {
@@ -155,16 +151,6 @@ pub enum Fairness {
     Weak,
 }
 
-/// A product node: (system state id, automaton state, fairness counter).
-///
-/// The counter ranges over `0..=N+1` (`N` = process count): `0` = waiting
-/// for an accepting automaton state, `k` in `1..=N` = waiting for process
-/// `k-1` to move or block, `N+1` = a fair accepting point.
-pub(crate) type Node = (usize, usize, u32);
-
-/// An edge into a node: the system step taken, or `None` for stutter.
-pub(crate) type Edge = Option<Step>;
-
 /// A recycling arena for product-successor buffers.
 ///
 /// Every DFS frame needs a buffer of product successors, and both
@@ -173,9 +159,8 @@ pub(crate) type Edge = Option<Step>;
 /// site of the liveness checker. The pool hands popped frames' buffers
 /// back to new frames (capacity retained, contents cleared), so a search
 /// settles into zero successor-buffer allocations once its maximum DFS
-/// depth has been reached. Used by the sequential checker and by each
-/// CNDFS worker (one pool per worker; buffers never cross threads).
-pub(crate) struct SuccPool<T> {
+/// depth has been reached. One pool serves both loops of a search.
+struct SuccPool<T> {
     free: Vec<Vec<T>>,
 }
 
@@ -186,11 +171,11 @@ impl<T> Default for SuccPool<T> {
 }
 
 impl<T> SuccPool<T> {
-    pub(crate) fn take(&mut self) -> Vec<T> {
+    fn take(&mut self) -> Vec<T> {
         self.free.pop().unwrap_or_default()
     }
 
-    pub(crate) fn give(&mut self, mut buf: Vec<T>) {
+    fn give(&mut self, mut buf: Vec<T>) {
         buf.clear();
         self.free.push(buf);
     }
@@ -198,7 +183,7 @@ impl<T> SuccPool<T> {
 
 /// The process indices moved by one product edge (at most an actor and
 /// its rendezvous partner), without a per-edge heap allocation.
-pub(crate) fn moved_procs(step: &Step, buf: &mut [usize; 2]) -> usize {
+fn moved_procs(step: &Step, buf: &mut [usize; 2]) -> usize {
     buf[0] = step.proc.index();
     match step.partner {
         Some((partner, _)) => {
@@ -212,7 +197,7 @@ pub(crate) fn moved_procs(step: &Step, buf: &mut [usize; 2]) -> usize {
 /// Sets `enabled[p]` exactly for the processes with a step in `steps`,
 /// as actor or as rendezvous partner. `steps` must be a state's full step
 /// list, taken before any partial-order reduction.
-pub(crate) fn mark_enabled(steps: &[Step], enabled: &mut [bool]) {
+fn mark_enabled(steps: &[Step], enabled: &mut [bool]) {
     enabled.fill(false);
     for step in steps {
         enabled[step.proc.index()] = true;
@@ -225,16 +210,13 @@ pub(crate) fn mark_enabled(steps: &[Step], enabled: &mut [bool]) {
 /// Advances the weak-fairness counter `k` across an edge out of a system
 /// state whose processes with an enabled step are marked in `enabled`.
 ///
+/// The counter ranges over `0..=N+1` (`N` = process count): `0` = waiting
+/// for an accepting automaton state, `k` in `1..=N` = waiting for process
+/// `k-1` to move or block, `N+1` = a fair accepting point.
 /// `source_accepting` is whether the automaton state being left is
 /// accepting; `moved` lists the processes executed by the edge (empty
-/// for stutter). Both nested-DFS engines advance the counter here, so
-/// they explore the same product graph.
-pub(crate) fn next_counter(
-    k: u32,
-    source_accepting: bool,
-    enabled: &[bool],
-    moved: &[usize],
-) -> u32 {
+/// for stutter).
+fn next_counter(k: u32, source_accepting: bool, enabled: &[bool], moved: &[usize]) -> u32 {
     let n = enabled.len() as u32;
     let mut k2 = if k == n + 1 { 0 } else { k };
     if k2 == 0 && source_accepting {
@@ -660,10 +642,9 @@ impl Checker<'_> {
 
     /// Like [`Checker::check_ltl`] with an explicit [`Fairness`] choice.
     ///
-    /// When [`crate::SearchConfig::threads`] is greater than one this
-    /// dispatches to the parallel CNDFS search
-    /// (`crate::pliveness`); `threads <= 1` runs the sequential nested
-    /// DFS below, byte-identically to a build without the parallel path.
+    /// The search is the nested DFS below and runs on the calling thread
+    /// whatever [`crate::SearchConfig::threads`] says, so a report is the
+    /// same at every thread count except for its `elapsed` time.
     ///
     /// # Errors
     ///
@@ -674,9 +655,6 @@ impl Checker<'_> {
         props: &[Proposition],
         fairness: Fairness,
     ) -> Result<LtlReport, KernelError> {
-        if self.config.threads > 1 {
-            return crate::pliveness::check_ltl_parallel(self, formula, props, fairness);
-        }
         check_ltl_sequential(self, formula, props, fairness)
     }
 
@@ -697,12 +675,62 @@ impl Checker<'_> {
         })?;
         self.check_ltl(&parsed, props)
     }
+
+    /// Exact replay validation of a lasso-shaped counterexample: the
+    /// prefix plus cycle must replay as a chain of enabled steps from the
+    /// initial state ([`Checker::replay_trace`]), stutter events may only
+    /// appear as a terminal suffix on a state with no enabled steps, and
+    /// a cycle with real steps must close back on the system state the
+    /// prefix ends in.
+    ///
+    /// The differential tests hold every lasso [`Checker::check_ltl`]
+    /// reports to this standard from the outside, without reading the
+    /// search's own bookkeeping.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError`] only when the model itself is broken
+    /// (a step fails to apply); an invalid lasso is `Ok(false)`.
+    pub fn validate_lasso(&self, prefix: &Trace, cycle: &Trace) -> Result<bool, KernelError> {
+        let prefix_events = prefix.events();
+        if cycle.is_empty() {
+            return Ok(false);
+        }
+        let is_stutter = |e: &TraceEvent| matches!(e.kind(), EventKind::Stutter);
+        let all: Vec<TraceEvent> = prefix_events
+            .iter()
+            .chain(cycle.events())
+            .cloned()
+            .collect();
+        let real_end = all.iter().position(is_stutter).unwrap_or(all.len());
+        if !all[real_end..].iter().all(is_stutter) {
+            return Ok(false);
+        }
+        let Some(end_state) = self.replay_trace(&Trace::new(all[..real_end].to_vec()))? else {
+            return Ok(false);
+        };
+        if real_end < all.len() && !enabled_steps(self.program, &end_state)?.is_empty() {
+            return Ok(false);
+        }
+        if real_end > prefix_events.len() {
+            // The cycle has real steps: replaying prefix and prefix+cycle
+            // must land on the same system state. (All-stutter cycles
+            // close trivially: the system state never changes past the
+            // prefix.)
+            let Some(mid_state) = self.replay_trace(&Trace::new(prefix_events.to_vec()))? else {
+                return Ok(false);
+            };
+            if mid_state != end_state {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
-/// The sequential nested-DFS acceptance-cycle search (CVWY). Also the
-/// oracle the parallel search falls back to when it cannot preserve a
-/// mode, and the algorithm `threads <= 1` runs unchanged.
-pub(crate) fn check_ltl_sequential(
+/// The nested-DFS acceptance-cycle search (CVWY): the one LTL search,
+/// run at every thread count.
+fn check_ltl_sequential(
     checker: &Checker<'_>,
     formula: &Ltl,
     props: &[Proposition],
@@ -887,7 +915,6 @@ pub(crate) fn check_ltl_sequential(
             outcome: LtlOutcome::Holds,
             stats,
             truncated: graph.truncated,
-            fallback: None,
         });
     };
 
@@ -915,7 +942,6 @@ pub(crate) fn check_ltl_sequential(
         },
         stats,
         truncated: graph.truncated,
-        fallback: None,
     })
 }
 

@@ -44,6 +44,7 @@
 //! heaviest structure and is fully determined by the parent links, so
 //! resume rebuilds it by replaying each state's discovery step.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -128,15 +129,20 @@ pub(crate) struct SnapStats {
     pub merge_passes: u64,
 }
 
-/// The visited-set backend payload carried inside a snapshot.
+/// The visited-set backend payload carried inside a snapshot: owned by a
+/// decoded [`Snapshot`], and borrowed from the live backend where a
+/// running search encodes a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum VisitedPayload {
+pub(crate) enum VisitedPayload<'a> {
     /// Exact sets are rebuilt by replaying the parent links.
     Exact,
     /// The compacted 64-bit hashes.
-    Compact(Vec<u64>),
+    Compact(Cow<'a, [u64]>),
     /// The bitstate arena words plus the insert count.
-    Bitstate { arena: Vec<u64>, inserted: u64 },
+    Bitstate {
+        arena: Cow<'a, [u64]>,
+        inserted: u64,
+    },
 }
 
 /// A decoded checkpoint of an interrupted safety search.
@@ -152,7 +158,7 @@ pub struct Snapshot {
     pub(crate) parents: Vec<Option<(usize, Step)>>,
     pub(crate) depths: Vec<usize>,
     pub(crate) frontier: Vec<(usize, State)>,
-    pub(crate) visited: VisitedPayload,
+    pub(crate) visited: VisitedPayload<'static>,
 }
 
 impl Snapshot {
@@ -329,7 +335,7 @@ impl Snapshot {
                 for _ in 0..n {
                     hashes.push(r.u64()?);
                 }
-                VisitedPayload::Compact(hashes)
+                VisitedPayload::Compact(hashes.into())
             }
             VisitedKind::Bitstate { .. } => {
                 let n = r.usize()?;
@@ -338,7 +344,10 @@ impl Snapshot {
                     arena.push(r.u64()?);
                 }
                 let inserted = r.u64()?;
-                VisitedPayload::Bitstate { arena, inserted }
+                VisitedPayload::Bitstate {
+                    arena: arena.into(),
+                    inserted,
+                }
             }
         };
         if r.pos != r.bytes.len() {
@@ -363,7 +372,7 @@ impl Snapshot {
 /// A search's state borrowed for encoding: what a [`Snapshot`] holds
 /// except the frontier, which the encoder pulls row by row. A running
 /// search encodes its checkpoints through this without copying its parent
-/// links, depths or queued states.
+/// links, depths, queued states or bitstate arena.
 pub(crate) struct SearchImage<'a> {
     pub(crate) fingerprint: u64,
     pub(crate) tag: &'a str,
@@ -371,7 +380,7 @@ pub(crate) struct SearchImage<'a> {
     pub(crate) stats: SnapStats,
     pub(crate) parents: &'a [Option<(usize, Step)>],
     pub(crate) depths: &'a [usize],
-    pub(crate) visited: &'a VisitedPayload,
+    pub(crate) visited: &'a VisitedPayload<'a>,
 }
 
 impl SearchImage<'_> {
@@ -438,13 +447,13 @@ impl SearchImage<'_> {
             VisitedPayload::Exact => {}
             VisitedPayload::Compact(hashes) => {
                 w.u64(hashes.len() as u64);
-                for &h in hashes {
+                for &h in hashes.iter() {
                     w.u64(h);
                 }
             }
             VisitedPayload::Bitstate { arena, inserted } => {
                 w.u64(arena.len() as u64);
-                for &word in arena {
+                for &word in arena.iter() {
                     w.u64(word);
                 }
                 w.u64(*inserted);
@@ -775,7 +784,7 @@ mod tests {
             depths: vec![0, 1],
             frontier: vec![(1, state)],
             visited: VisitedPayload::Bitstate {
-                arena: vec![0b1011, 0, u64::MAX],
+                arena: vec![0b1011, 0, u64::MAX].into(),
                 inserted: 2,
             },
         }

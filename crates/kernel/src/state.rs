@@ -15,7 +15,7 @@
 //! content. Rendezvous channels never hold a message and take no words.
 
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::expression::{EvalCtx, EvalError, Expr};
@@ -379,31 +379,6 @@ impl fmt::Debug for State {
         write!(f, "State{:?}", self.words)
     }
 }
-
-/// A [`Hasher`] for keys that already carry a well-mixed 64-bit hash (a
-/// [`State`], or a pointer to one): the carried hash passes through
-/// instead of being hashed again.
-#[derive(Default)]
-pub(crate) struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = mix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The hasher builder of every state-keyed hash table.
-pub(crate) type StateHasher = BuildHasherDefault<PassThrough>;
 
 /// A read-only view of a [`State`] resolved against its [`Program`], used by
 /// native property predicates and simulation observers.

@@ -33,11 +33,10 @@ use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use crate::arena::{Interned, StateArena};
 use crate::extmem::{decode_run, encode_run, index_run, merge_runs, RunEntry};
-use crate::rng::{mix64, SplitMix64};
+use crate::rng::SplitMix64;
 use crate::snapshot::{append_words, encode_words_into, encoded_words_len};
 use crate::state::{words_hash, State};
 use crate::vfs::{commit_replace, VfsHandle};
@@ -54,73 +53,6 @@ const DISK_PARTITIONS: usize = 16;
 /// How many runs a partition accumulates before they are merge-compacted
 /// into one.
 const DISK_MAX_RUNS: usize = 8;
-
-/// Seed for picking a shard in [`ShardedNodeSet`]. A member of the
-/// `0xb175_7a7e_5eed_xxxx` family, so liveness-product sharding stays
-/// independent of state hashing and the lossy hash family.
-const NODE_SHARD_SEED: u64 = 0xb175_7a7e_5eed_0004;
-
-/// A liveness product node as the parallel acceptance-cycle search keys
-/// its shared color sets: (system state id, Büchi state, fairness
-/// counter). Mirrors `liveness::Node` without creating a module cycle.
-pub(crate) type ProductNode = (usize, usize, u32);
-
-/// Number of shards in [`ShardedNodeSet`]. A power of two so the shard
-/// index is a mask of the shard hash.
-const NODE_SHARDS: usize = 64;
-
-/// Concurrent set of liveness *product nodes*: [`NODE_SHARDS`] per-shard
-/// mutex-protected hash sets, indexed by a seeded [`mix64`] of the packed
-/// node.
-///
-/// This is the substrate for the CNDFS blue/red sets in
-/// `crate::pliveness`: membership is exact (nodes are small fixed-size
-/// tuples, so there is nothing to compact), and `insert` doubles as the
-/// atomic *test-and-set* the coloring protocol needs — the shard lock
-/// makes "was it already there?" and "it is now" one indivisible step.
-pub(crate) struct ShardedNodeSet {
-    shards: Vec<Mutex<HashSet<ProductNode>>>,
-}
-
-impl ShardedNodeSet {
-    pub(crate) fn new() -> ShardedNodeSet {
-        ShardedNodeSet {
-            shards: (0..NODE_SHARDS)
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, node: ProductNode) -> &Mutex<HashSet<ProductNode>> {
-        let packed = (node.0 as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(((node.1 as u64) << 32) | u64::from(node.2));
-        let idx = mix64(packed ^ NODE_SHARD_SEED) as usize & (NODE_SHARDS - 1);
-        &self.shards[idx]
-    }
-
-    pub(crate) fn contains(&self, node: ProductNode) -> bool {
-        self.shard(node)
-            .lock()
-            .expect("node shard poisoned")
-            .contains(&node)
-    }
-
-    /// Inserts `node`, returning `true` when it was not present before.
-    pub(crate) fn insert(&self, node: ProductNode) -> bool {
-        self.shard(node)
-            .lock()
-            .expect("node shard poisoned")
-            .insert(node)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("node shard poisoned").len())
-            .sum()
-    }
-}
 
 /// Which visited-set backend the safety search uses.
 ///

@@ -1,35 +1,31 @@
-//! Differential tests: the parallel CNDFS acceptance-cycle search must
-//! agree with the sequential nested DFS.
+//! Differential tests: an LTL report does not depend on the thread count.
 //!
-//! For every corpus (program, LTL formula, fairness) triple, parallel
-//! runs at 2, 4, and 8 threads are compared against the sequential
-//! (1-thread) run:
+//! The acceptance-cycle search is one nested DFS that runs on the calling
+//! thread whatever [`SearchConfig::threads`] says. So for every corpus
+//! (program, LTL formula, fairness) triple, runs at 2, 4, and 8 threads
+//! equal the one-thread run field by field except the wall-clock
+//! `elapsed`: the outcome, with a lasso's prefix and cycle compared event
+//! by event, `truncated`, and every statistic. Besides:
 //!
-//! * identical verdicts, always — a cycle-freedom claim (`Holds`) from
-//!   the swarm must never diverge from the sequential oracle, and vice
-//!   versa;
-//! * every parallel-found lasso exact-replays against the program
+//! * every lasso exact-replays against the program
 //!   ([`Checker::validate_lasso`], plus an independent prefix replay
 //!   through [`Checker::replay_trace`] here);
-//! * `threads = 1` never enters the parallel path: its report is
-//!   byte-identical (modulo wall-clock `elapsed`) to the default
-//!   sequential configuration, run to run.
+//! * every run is reproducible: repeating it gives the same report, and
+//!   `threads = 1` gives the default configuration's report.
 //!
 //! The proptests at the bottom extend the corpus with random concurrent
-//! programs: parallel liveness never fabricates and never misses an
-//! accepting cycle relative to sequential nested DFS.
+//! programs under both fairness modes and a random thread count.
 
-use std::mem::discriminant;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use pnp_kernel::{
     expr, Action, Checker, EventKind, Fairness, Guard, LtlOutcome, LtlReport, Predicate,
-    ProcessBuilder, Program, ProgramBuilder, Proposition, SearchConfig, Trace,
+    ProcessBuilder, Program, ProgramBuilder, Proposition, SearchConfig, SearchStats, Trace,
 };
 
-const PARALLEL_SWEEP: [usize; 3] = [2, 4, 8];
+const THREAD_SWEEP: [usize; 3] = [2, 4, 8];
 
 // ---------------------------------------------------------------------
 // Corpus
@@ -378,6 +374,27 @@ fn assert_real_part_replays(case: &Case, threads: usize, prefix: &Trace, cycle: 
     );
 }
 
+/// Asserts that `report` is `reference` field by field, except `elapsed`.
+/// Outcomes compare whole, so a lasso compares event by event.
+fn assert_same_report(what: &str, report: &LtlReport, reference: &LtlReport) {
+    assert_eq!(report.outcome, reference.outcome, "{what}: outcome");
+    assert_eq!(report.truncated, reference.truncated, "{what}: truncated");
+    let comparable = |stats: &SearchStats| {
+        format!(
+            "{:?}",
+            SearchStats {
+                elapsed: Duration::ZERO,
+                ..*stats
+            }
+        )
+    };
+    assert_eq!(
+        comparable(&report.stats),
+        comparable(&reference.stats),
+        "{what}: stats"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Corpus × thread sweep
 // ---------------------------------------------------------------------
@@ -389,64 +406,41 @@ fn corpus_verdicts_agree_across_thread_counts() {
         assert_eq!(
             seq.outcome.is_holds(),
             case.expect_holds,
-            "{}: sequential oracle moved off the pinned verdict: {:?}",
+            "{}: one-thread search moved off the pinned verdict: {:?}",
             case.name,
             seq.outcome
         );
-        assert!(seq.fallback.is_none(), "{}: sequential fallback", case.name);
-        for threads in PARALLEL_SWEEP {
+        for threads in THREAD_SWEEP {
             let par = run(&case, threads);
-            assert_eq!(
-                discriminant(&par.outcome),
-                discriminant(&seq.outcome),
-                "{}@{threads}: verdict {:?} vs sequential {:?}",
-                case.name,
-                par.outcome,
-                seq.outcome
-            );
-            assert_eq!(
-                par.truncated, seq.truncated,
-                "{}@{threads}: truncation flag diverged",
-                case.name
-            );
-            if let LtlOutcome::Violated { prefix, cycle } = &par.outcome {
-                assert!(!cycle.is_empty(), "{}@{threads}: empty cycle", case.name);
-                let checker = Checker::new(&case.program);
-                assert!(
-                    checker.validate_lasso(prefix, cycle).unwrap(),
-                    "{}@{threads}: parallel lasso failed exact replay validation",
-                    case.name
-                );
-                assert_real_part_replays(&case, threads, prefix, cycle);
-            }
+            assert_same_report(&format!("{}@{threads}", case.name), &par, &seq);
         }
     }
 }
 
 #[test]
-fn sequential_lassos_pass_the_same_validation() {
-    // The oracle is held to the harness's own standard too: every
-    // sequential counterexample exact-replays.
+fn lassos_pass_exact_replay_validation() {
+    // Every counterexample is held to the harness's own standard: it
+    // exact-replays against the program.
     for case in corpus() {
         let seq = run(&case, 1);
         if let LtlOutcome::Violated { prefix, cycle } = &seq.outcome {
             let checker = Checker::new(&case.program);
             assert!(
                 checker.validate_lasso(prefix, cycle).unwrap(),
-                "{}: sequential lasso failed replay validation",
+                "{}: lasso failed replay validation",
                 case.name
             );
+            assert!(!cycle.is_empty(), "{}: empty cycle", case.name);
             assert_real_part_replays(&case, 1, prefix, cycle);
         }
     }
 }
 
 #[test]
-fn threads_one_is_byte_identical_to_the_sequential_path() {
-    // `threads = 1` must never enter the parallel search: its report —
-    // the whole report, counters, outcome, traces — is byte-identical
-    // (modulo wall-clock `elapsed`) to the default configuration's
-    // sequential run, and reproducible run to run.
+fn threads_one_is_byte_identical_to_the_default_configuration() {
+    // The whole report at `threads = 1` — counters, outcome, traces — is
+    // byte-identical (modulo wall-clock `elapsed`) to the default
+    // configuration's run, and reproducible run to run.
     fn normalized(mut report: LtlReport) -> String {
         report.stats.elapsed = Duration::ZERO;
         format!("{report:?}")
@@ -461,7 +455,7 @@ fn threads_one_is_byte_identical_to_the_sequential_path() {
         assert_eq!(
             normalized(one_thread_a),
             normalized(default_run),
-            "{}: threads=1 diverged from the default sequential path",
+            "{}: threads=1 diverged from the default configuration",
             case.name
         );
         assert_eq!(
@@ -475,17 +469,12 @@ fn threads_one_is_byte_identical_to_the_sequential_path() {
 
 #[test]
 fn parallel_verdicts_are_stable_across_repeats() {
-    // The swarm's interleavings vary, the verdict must not.
+    // Repeats at four threads give the one-thread report every time.
     for case in corpus() {
-        let first = run(&case, 4);
-        for _ in 0..2 {
+        let seq = run(&case, 1);
+        for repeat in 0..3 {
             let again = run(&case, 4);
-            assert_eq!(
-                discriminant(&again.outcome),
-                discriminant(&first.outcome),
-                "{}: unstable parallel verdict",
-                case.name
-            );
+            assert_same_report(&format!("{}@4 repeat {repeat}", case.name), &again, &seq);
         }
     }
 }
@@ -583,10 +572,9 @@ fn build_program(procs: &[Vec<Move>]) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Parallel liveness never fabricates and never misses an accepting
-    /// cycle vs sequential nested DFS, on random programs × both fairness
-    /// modes × a random thread count — and any parallel-found lasso
-    /// exact-replays.
+    /// On random programs × both fairness modes × a random thread count,
+    /// the report equals the one-thread report field by field except
+    /// `elapsed`, and any lasso exact-replays.
     #[test]
     fn parallel_liveness_agrees_with_sequential(
         procs in proptest::collection::vec(
@@ -617,11 +605,10 @@ proptest! {
         .check_ltl_with(&formula, &props, fairness)
         .unwrap();
 
-        prop_assert_eq!(
-            discriminant(&par.outcome),
-            discriminant(&seq.outcome),
-            "{} under {:?}@{}: parallel {:?} vs sequential {:?}; procs: {:?}",
-            formula_src, fairness, threads, par.outcome, seq.outcome, procs
+        assert_same_report(
+            &format!("{formula_src} under {fairness:?}@{threads}; procs: {procs:?}"),
+            &par,
+            &seq,
         );
         if let LtlOutcome::Violated { prefix, cycle } = &par.outcome {
             let checker = Checker::new(&program);

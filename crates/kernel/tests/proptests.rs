@@ -185,7 +185,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Planted accepting cycles: parallel liveness vs a known ground truth
+// Planted accepting cycles: liveness at every thread count vs a known ground truth
 // ---------------------------------------------------------------------
 
 /// A program with a *planted* accepting cycle: a main process walks a

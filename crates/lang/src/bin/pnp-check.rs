@@ -28,8 +28,8 @@
 //!   visited-set backend; the lossy backends (`compact`, `bitstate`) trade
 //!   exactness for memory and report HOLDS (approx) with an omission
 //!   estimate, while `disk` keeps the search exact by storing the visited
-//!   set out of core (in scratch directory `DIR`, default under the
-//!   system temp dir);
+//!   set out of core (in scratch directory `DIR`, default a directory
+//!   under the system temp dir that is removed when the search ends);
 //! - `--spill-at MB` arms graceful degradation under memory pressure:
 //!   when the search's estimated footprint crosses `MB` MiB it moves the
 //!   visited set and frontier to disk *mid-run* instead of stopping
@@ -40,12 +40,11 @@
 //! - `--resume FILE` continues an interrupted run from a snapshot.
 //!
 //! Parallelism: `--threads N` (default 1) expands safety searches' states
-//! on `N` threads, and runs LTL properties with an `N`-worker swarmed
-//! CNDFS acceptance-cycle search. A safety search reports the same
-//! verdict, counterexample and state count at any `N`; LTL verdicts are
-//! identical too (LTL stats fields reflect whichever worker interleaving
-//! won — every reported lasso is replay-validated first). Checkpoints
-//! written at any thread count can be resumed at any other.
+//! on `N` threads. A safety search reports the same verdict,
+//! counterexample and state count at any `N`. LTL properties run their
+//! nested DFS on one thread at any `N`, so their output does not depend
+//! on it. Checkpoints written at any thread count can be resumed at any
+//! other.
 //!
 //! Remote verification: `--submit URL` sends the specification (with any
 //! `--fault` rewrites applied) to a running `pnp-serve` daemon instead of

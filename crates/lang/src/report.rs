@@ -127,9 +127,8 @@ pub struct VerifyOptions {
     /// the worker-thread count: `config.threads > 1` expands each safety
     /// search's states on that many threads (the same report, trace and
     /// checkpoints as one thread; spilling and resume work as at one
-    /// thread) and runs each LTL property through the swarmed CNDFS
-    /// acceptance-cycle search (the same verdict). See
-    /// [`SearchConfig::threads`].
+    /// thread). LTL properties run on the calling thread at any value.
+    /// See [`SearchConfig::threads`].
     pub config: SearchConfig,
     /// Cooperative cancellation, typically wired to SIGINT. A cancelled
     /// run reports the affected property as inconclusive and — when
@@ -231,12 +230,10 @@ impl ArchSpec {
     /// cancellation, checkpointing of safety searches, and resume from a
     /// snapshot (see [`VerifyOptions`]).
     ///
-    /// LTL properties run the nested-DFS search (swarmed across workers
-    /// when `config.threads > 1`), which supports cancellation but not
+    /// LTL properties run the nested-DFS search on the calling thread at
+    /// any `config.threads`, which supports cancellation but not
     /// checkpoint/resume; a resume snapshot tagged with an LTL property's
-    /// name is ignored. When the parallel search cannot certify its own
-    /// answer it silently re-runs sequentially and the property's detail
-    /// line records why.
+    /// name is ignored.
     ///
     /// # Errors
     ///
@@ -351,7 +348,7 @@ impl ArchSpec {
                     // cycle is NOT a proof: report it inconclusive. A
                     // violation found within the budget is still a real
                     // violation.
-                    let (holds, inconclusive, mut detail) = match report.outcome {
+                    let (holds, inconclusive, detail) = match report.outcome {
                         LtlOutcome::Holds if report.truncated => (
                             false,
                             true,
@@ -379,11 +376,6 @@ impl ArchSpec {
                             ),
                         ),
                     };
-                    if let Some(reason) = report.fallback {
-                        detail.push_str(&format!(
-                            " [parallel search fell back to sequential: {reason}]"
-                        ));
-                    }
                     // The product search truncates for exactly two
                     // reasons: the state budget, or a cancellation
                     // observed through the shared token.

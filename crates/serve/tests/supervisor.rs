@@ -510,9 +510,9 @@ system {
 "#;
 
 /// `threads` flows from the submission parameters through `SearchConfig`
-/// into the kernel's swarmed CNDFS liveness search: a threaded LTL job
-/// reports exactly the sequential verdicts, including the
-/// replay-validated counterexample lasso for the violated property.
+/// into the kernel's liveness search, which runs on one thread at any
+/// value: a threaded LTL job reports exactly the one-thread results,
+/// including the counterexample lasso of the violated property.
 #[test]
 fn threaded_ltl_jobs_report_sequential_verdicts() {
     let supervisor = Supervisor::start(test_config("ltl")).unwrap();
@@ -558,6 +558,11 @@ fn threaded_ltl_jobs_report_sequential_verdicts() {
         assert_eq!(
             s.inconclusive, p.inconclusive,
             "{}: conclusiveness diverged across threads",
+            s.name
+        );
+        assert_eq!(
+            s.detail, p.detail,
+            "{}: detail diverged across threads",
             s.name
         );
     }
