@@ -12,13 +12,13 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::arena::{Interned, RowQueue, StateArena};
+use crate::arena::{Interned, Origin, RowQueue, StateArena};
 use crate::expression::{EvalCtx, Expr};
 use crate::extmem::SpillFrontier;
 use crate::program::Program;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::snapshot::{
-    program_fingerprint, SearchImage, SnapStats, Snapshot, SnapshotError, SnapshotSink,
+    program_fingerprint, Link, SearchImage, SnapStats, Snapshot, SnapshotError, SnapshotSink,
     VisitedPayload,
 };
 use crate::state::{
@@ -592,16 +592,16 @@ fn hit_outcome(hit: InvariantHit, trace: Trace) -> SafetyOutcome {
 /// dropped, so lossy backends never report a false alarm.
 fn rebuild_trace(
     program: &Program,
-    parents: &[Option<(usize, Step)>],
+    links: &Links,
     id: usize,
     expect: &State,
     verify: bool,
 ) -> Result<Option<Trace>, KernelError> {
     let mut chain = Vec::new();
     let mut cur = id;
-    while let Some((parent, step)) = parents[cur] {
+    while let Some((parent, step)) = links.get(cur).parent() {
         chain.push(step);
-        cur = parent;
+        cur = parent as usize;
     }
     chain.reverse();
     let mut state = State::initial(program);
@@ -638,18 +638,57 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// The bookkeeping is billed on purpose as the store before the row arena
 /// cost: a boxed, reference-counted [`State`] (its header and two
-/// counters), a pointer-sized hash-set entry plus a control byte, the
-/// parent link and the depth. The arena's real overhead is smaller (a
-/// carried hash and about 12 bytes of id table per row), but re-billing
-/// would move every memory-budget trip and spill point, so it waits for
-/// the benchmark's spill budget to be chosen again.
+/// counters), a pointer-sized hash-set entry plus a control byte, and
+/// [`BILLED_LINK_BYTES`]. The arena's real cost is smaller (a collapsed
+/// row is its hash and one id per component, plus about 12 bytes of id
+/// table), but re-billing would move every memory-budget trip and spill
+/// point, so it waits for the benchmark's spill budget to be chosen again.
 fn approx_state_bytes(program: &Program) -> usize {
     use std::mem::size_of;
     let words = program.layout.words() * size_of::<i32>();
     let state = size_of::<State>() + 2 * size_of::<usize>();
     let entry = size_of::<usize>() + 1;
-    let parent = size_of::<Option<(usize, Step)>>() + size_of::<usize>();
-    words + state + entry + parent
+    words + state + entry + BILLED_LINK_BYTES
+}
+
+/// What a state's parent link and depth are billed: the 48-byte
+/// `Option<(usize, Step)>` and 8-byte `usize` they once took. A [`Link`]
+/// takes 24, but the billing stays (see [`approx_state_bytes`]).
+const BILLED_LINK_BYTES: usize = 48 + 8;
+
+/// Every state's discovery link, by id: those a resumed search took over
+/// from its snapshot, shared with it rather than copied, then its own.
+struct Links {
+    resumed: Arc<Vec<Link>>,
+    own: Vec<Link>,
+}
+
+impl Links {
+    fn new(resumed: Arc<Vec<Link>>) -> Links {
+        Links {
+            resumed,
+            own: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.resumed.len() + self.own.len()
+    }
+
+    fn get(&self, id: usize) -> Link {
+        match id.checked_sub(self.resumed.len()) {
+            None => self.resumed[id],
+            Some(at) => self.own[at],
+        }
+    }
+
+    fn push(&mut self, link: Link) {
+        self.own.push(link);
+    }
+
+    fn parts(&self) -> [&[Link]; 2] {
+        [&self.resumed, &self.own]
+    }
 }
 
 /// Captures the visited-set backend's content for a snapshot. Exact sets
@@ -681,8 +720,7 @@ fn flush_checkpoint(
     tag: &str,
     visited: &AnyVisited,
     frontier: &Frontier,
-    parents: &[Option<(usize, Step)>],
-    depths: &[usize],
+    links: &Links,
     stats: &SearchStats,
     elapsed: Duration,
 ) -> Result<(), KernelError> {
@@ -702,8 +740,7 @@ fn flush_checkpoint(
             spill_bytes: stats.spill_bytes as u64,
             merge_passes: stats.merge_passes as u64,
         },
-        parents,
-        depths,
+        links: links.parts(),
         visited: &payload,
     };
     let bytes = image
@@ -718,31 +755,37 @@ fn flush_checkpoint(
         })
 }
 
-/// Replays every state's discovery chain recorded in `parents` into an
+/// Replays every state's discovery chain recorded in `links` into an
 /// arena whose row ids are the state ids (parent ids are strictly smaller
 /// than their children's, so a single forward pass suffices).
-fn replay_states(
-    program: &Program,
-    parents: &[Option<(usize, Step)>],
-) -> Result<StateArena, KernelError> {
+fn replay_states(program: &Program, links: &[Link]) -> Result<StateArena, KernelError> {
     let corrupt = |message: String| KernelError::Snapshot { message };
-    let mut arena = StateArena::new();
+    let layout = &program.layout;
+    let mut arena = StateArena::with_components(layout.components());
     let mut parent_state = State::initial(program);
     let mut state = State::initial(program);
-    for (id, parent) in parents.iter().enumerate() {
-        match parent {
-            None if id == 0 => {}
+    for (id, link) in links.iter().enumerate() {
+        let interned = match link.parent() {
+            None if id == 0 => arena.intern(&state, None, |_| true),
             None => {
                 return Err(corrupt(format!(
                     "state {id} has no parent but is not the root"
                 )))
             }
-            Some((parent_id, step)) => {
-                arena.load(*parent_id as u32, &mut parent_state);
-                apply_step_into(program, &parent_state, *step, &mut state, None)?;
+            Some((parent, step)) => {
+                arena.load(parent, &mut parent_state);
+                apply_step_into(program, &parent_state, step, &mut state, None)?;
+                let footprint = arena
+                    .reads_origin()
+                    .then(|| layout.footprint(program, &parent_state, step));
+                let origin = footprint.as_ref().map(|footprint| Origin {
+                    parent,
+                    writes: footprint.components(),
+                });
+                arena.intern(&state, origin, |_| true)
             }
-        }
-        match arena.intern(&state, |_| true) {
+        };
+        match interned {
             Interned::New(_) => {}
             Interned::Old(twin) => return Err(corrupt(format!("state {id} repeats state {twin}"))),
             Interned::Refused => return Err(corrupt(format!("state {id} is past the arena"))),
@@ -768,9 +811,10 @@ fn restore_visited(
                 new_disk_visited(storage, spill_at).map_err(|error| KernelError::Snapshot {
                     message: format!("cannot prepare spill storage: {error}"),
                 })?;
-            let arena = replay_states(program, &snapshot.parents)?;
+            let arena = replay_states(program, &snapshot.links)?;
+            let mut words = Vec::new();
             for id in 0..arena.len() as u32 {
-                disk.insert_new(arena.row(id), arena.hash(id));
+                disk.insert_new(arena.words(id, &mut words), arena.hash(id));
                 if let Some(error) = disk.take_error() {
                     return Err(KernelError::Snapshot {
                         message: format!("out-of-core visited rebuild failed: {error}"),
@@ -783,7 +827,7 @@ fn restore_visited(
             Ok(AnyVisited::Disk(disk))
         }
         VisitedPayload::Exact => Ok(AnyVisited::Exact(ExactVisited::from_arena(
-            replay_states(program, &snapshot.parents)?,
+            replay_states(program, &snapshot.links)?,
             per_state_bytes,
         ))),
         VisitedPayload::Compact(hashes) => Ok(AnyVisited::Compact(CompactVisited::from_hashes(
@@ -907,8 +951,9 @@ impl Frontier {
         match self {
             Frontier::Ids(queue) => {
                 let arena = exact_rows(visited);
+                let mut words = Vec::new();
                 for &id in queue {
-                    row(id as usize, arena.row(id));
+                    row(id as usize, arena.words(id, &mut words));
                 }
             }
             Frontier::Rows(queue) => {
@@ -928,10 +973,11 @@ impl Frontier {
 /// exact backend each state must be the row its id names.
 fn restore_frontier(snapshot: &Snapshot, visited: &AnyVisited) -> Result<Frontier, KernelError> {
     let mut frontier = Frontier::new(visited);
+    let mut words = Vec::new();
     for (id, state) in &snapshot.frontier {
         if let Frontier::Ids(_) = frontier {
             let arena = exact_rows(visited);
-            if arena.row(*id as u32) != state.words() {
+            if arena.words(*id as u32, &mut words) != state.words() {
                 return Err(KernelError::Snapshot {
                     message: format!("frontier state {id} is not the state its parents replay to"),
                 });
@@ -963,9 +1009,9 @@ fn memory_estimate(
             // Lossy and disk backends keep no RAM payloads: the per-state
             // cost is the parent/depth bookkeeping plus the frontier's
             // RAM-resident payloads.
-            let parent_entry =
-                std::mem::size_of::<Option<(usize, Step)>>() + std::mem::size_of::<usize>();
-            visited.approx_bytes() + n_states * parent_entry + frontier.ram_bytes(per_state_bytes)
+            visited.approx_bytes()
+                + n_states * BILLED_LINK_BYTES
+                + frontier.ram_bytes(per_state_bytes)
         }
     }
 }
@@ -1085,8 +1131,9 @@ fn spill_to_disk(
         // function of the state set alone.
         let mut ids: Vec<u32> = (0..arena.len() as u32).collect();
         ids.sort_unstable_by_key(|&id| arena.hash(id));
+        let mut words = Vec::new();
         for id in ids {
-            disk.insert_new(arena.row(id), arena.hash(id));
+            disk.insert_new(arena.words(id, &mut words), arena.hash(id));
             if let Some(error) = disk.take_error() {
                 return Err(error);
             }
@@ -1095,7 +1142,7 @@ fn spill_to_disk(
         if let Frontier::Ids(queue) = &*frontier {
             let mut rows = RowQueue::new();
             for &id in queue {
-                rows.push_back(id as usize, arena.row(id), arena.hash(id));
+                rows.push_back(id as usize, arena.words(id, &mut words), arena.hash(id));
             }
             *frontier = Frontier::Rows(rows);
         }
@@ -1481,21 +1528,19 @@ impl<'p> Checker<'p> {
             0
         };
 
-        // Search state: parent links and depths per interned state id, the
-        // frontier (discovered, unexpanded states: arena row ids under the
-        // exact backend, rows otherwise), and the visited-set backend.
-        // Fresh, or restored from a snapshot.
+        // Search state: the parent link and depth of each interned state
+        // id, the frontier (discovered, unexpanded states: arena row ids
+        // under the exact backend, rows otherwise), and the visited-set
+        // backend. Fresh, or restored from a snapshot.
         let mut stats = SearchStats::default();
         let mut base_elapsed = Duration::ZERO;
         let mut visited: AnyVisited;
-        let mut parents: Vec<Option<(usize, Step)>>;
-        let mut depths: Vec<usize>;
+        let mut links: Links;
         let mut frontier: Frontier;
 
         if let Some(snapshot) = &self.resume {
             visited = restore_visited(program, snapshot, per_state_bytes, &storage, spill_at)?;
-            parents = snapshot.parents.clone();
-            depths = snapshot.depths.clone();
+            links = Links::new(Arc::clone(&snapshot.links));
             frontier = restore_frontier(snapshot, &visited)?;
             stats.steps = snapshot.stats.steps as usize;
             stats.max_depth = snapshot.stats.max_depth as usize;
@@ -1527,11 +1572,11 @@ impl<'p> Checker<'p> {
                         }
                     })?)
                 }
-                kind => AnyVisited::new(kind, per_state_bytes),
+                kind => AnyVisited::new(kind, per_state_bytes, program.layout.components()),
             };
             visited.insert_if_new(&initial, true);
-            parents = vec![None];
-            depths = vec![0];
+            links = Links::new(Arc::default());
+            links.push(Link::root());
             frontier = Frontier::new(&visited);
             frontier
                 .push_back(0, &initial)
@@ -1546,7 +1591,7 @@ impl<'p> Checker<'p> {
 
         let mut tripped: Option<BudgetKind> = None;
         let mut depth_trimmed = false;
-        let mut states_at_last_flush = parents.len();
+        let mut states_at_last_flush = links.len();
         // The round: the states popped off the front of the queue together,
         // with their expansions. One state at one thread, so every check
         // below runs before each state; up to `ROUND_STATES` at more.
@@ -1584,7 +1629,7 @@ impl<'p> Checker<'p> {
                     break 'search;
                 }
             }
-            let mut mem = memory_estimate(&visited, &frontier, parents.len(), per_state_bytes);
+            let mut mem = memory_estimate(&visited, &frontier, links.len(), per_state_bytes);
             stats.approx_memory_bytes = stats.approx_memory_bytes.max(mem);
             // Graceful degradation: crossing the spill threshold moves the
             // RAM structures out of core instead of tripping a budget. The
@@ -1602,12 +1647,8 @@ impl<'p> Checker<'p> {
                         &mut frontier,
                     ) {
                         Ok(()) => {
-                            mem = memory_estimate(
-                                &visited,
-                                &frontier,
-                                parents.len(),
-                                per_state_bytes,
-                            );
+                            mem =
+                                memory_estimate(&visited, &frontier, links.len(), per_state_bytes);
                         }
                         Err(error) => {
                             tripped = Some(spill_trip(&error, "mid-run spill failed")?);
@@ -1623,10 +1664,10 @@ impl<'p> Checker<'p> {
                 }
             }
             if self.checkpoint_every > 0
-                && parents.len() - states_at_last_flush >= self.checkpoint_every
+                && links.len() - states_at_last_flush >= self.checkpoint_every
             {
                 if let Some(sink) = &self.sink {
-                    stats.unique_states = parents.len();
+                    stats.unique_states = links.len();
                     sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
                     flush_checkpoint(
                         sink,
@@ -1634,12 +1675,11 @@ impl<'p> Checker<'p> {
                         &self.tag,
                         &visited,
                         &frontier,
-                        &parents,
-                        &depths,
+                        &links,
                         &stats,
                         base_elapsed + start.elapsed(),
                     )?;
-                    states_at_last_flush = parents.len();
+                    states_at_last_flush = links.len();
                 }
             }
 
@@ -1653,7 +1693,10 @@ impl<'p> Checker<'p> {
                 match frontier.pop_front(&visited, &mut slot.state) {
                     Ok(Some(id)) => {
                         slot.id = id;
-                        slot.within_depth = self.config.max_depth.is_none_or(|l| depths[id] < l);
+                        slot.within_depth = self
+                            .config
+                            .max_depth
+                            .is_none_or(|l| (links.get(id).depth as usize) < l);
                         len += 1;
                     }
                     Ok(None) => break,
@@ -1699,13 +1742,14 @@ impl<'p> Checker<'p> {
                         depth_trimmed = true;
                         continue 'states;
                     }
-                    stats.max_depth = stats.max_depth.max(depths[id]);
+                    let depth = links.get(id).depth;
+                    stats.max_depth = stats.max_depth.max(depth as usize);
 
                     if expansion.steps.is_empty() && expansion.error.is_none() {
                         if checks.deadlock && !is_valid_end_state(program, state) {
-                            match rebuild_trace(program, &parents, id, state, lossy)? {
+                            match rebuild_trace(program, &links, id, state, lossy)? {
                                 Some(trace) => {
-                                    stats.unique_states = parents.len();
+                                    stats.unique_states = links.len();
                                     stats.elapsed = base_elapsed + start.elapsed();
                                     sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
                                     return Ok(SafetyReport {
@@ -1728,11 +1772,11 @@ impl<'p> Checker<'p> {
                         // Assertions fire on the edge: report even when the
                         // target state was already visited.
                         if let Some(message) = failed {
-                            match rebuild_trace(program, &parents, id, state, lossy)? {
+                            match rebuild_trace(program, &links, id, state, lossy)? {
                                 Some(prefix) => {
                                     let mut events = prefix.events().to_vec();
                                     events.extend(apply_step(program, state, step)?.events);
-                                    stats.unique_states = parents.len();
+                                    stats.unique_states = links.len();
                                     stats.elapsed = base_elapsed + start.elapsed();
                                     sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
                                     return Ok(SafetyReport {
@@ -1756,8 +1800,15 @@ impl<'p> Checker<'p> {
                         // reached, so duplicates are never charged (see
                         // `tests/golden_state_counts.rs` for the regression
                         // pinning it).
-                        let room = parents.len() < self.config.max_states;
-                        match visited.insert_if_new(successor, room) {
+                        let room = links.len() < self.config.max_states;
+                        let footprint = visited
+                            .reads_origin()
+                            .then(|| program.layout.footprint(program, state, step));
+                        let origin = footprint.as_ref().map(|footprint| Origin {
+                            parent: id as u32,
+                            writes: footprint.components(),
+                        });
+                        match visited.insert_successor(successor, origin, room) {
                             Insert::Inserted => {}
                             Insert::Duplicate => {
                                 if let AnyVisited::Disk(disk) = &mut visited {
@@ -1776,16 +1827,15 @@ impl<'p> Checker<'p> {
                             }
                             Insert::BudgetExhausted => break 'commit Ok(BudgetKind::States),
                         }
-                        let next_id = parents.len();
-                        parents.push(Some((id, step)));
-                        depths.push(depths[id] + 1);
+                        let next_id = links.len();
+                        links.push(Link::new(id as u32, step, depth + 1));
 
                         if let Some(hit) =
                             eval_invariants(checks, &StateView::new(program, successor))?
                         {
-                            match rebuild_trace(program, &parents, next_id, successor, lossy)? {
+                            match rebuild_trace(program, &links, next_id, successor, lossy)? {
                                 Some(trace) => {
-                                    stats.unique_states = parents.len();
+                                    stats.unique_states = links.len();
                                     stats.elapsed = base_elapsed + start.elapsed();
                                     sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
                                     return Ok(SafetyReport {
@@ -1831,7 +1881,7 @@ impl<'p> Checker<'p> {
         if tripped.is_none() && depth_trimmed {
             tripped = Some(BudgetKind::Depth);
         }
-        stats.unique_states = parents.len();
+        stats.unique_states = links.len();
         stats.elapsed = base_elapsed + start.elapsed();
         sync_spill_stats(&mut stats, spill_base, &visited, &frontier);
         let outcome = match tripped {
@@ -1845,21 +1895,20 @@ impl<'p> Checker<'p> {
                         &self.tag,
                         &visited,
                         &frontier,
-                        &parents,
-                        &depths,
+                        &links,
                         &stats,
                         stats.elapsed,
                     )?;
                 }
                 SafetyOutcome::LimitReached {
                     budget,
-                    states_covered: parents.len(),
+                    states_covered: links.len(),
                     frontier: frontier.len(),
                 }
             }
             None if lossy => SafetyOutcome::HoldsApprox {
                 hash_mode: visited.kind(),
-                states_visited: parents.len(),
+                states_visited: links.len(),
                 omission_probability: visited.omission_probability(),
             },
             None => SafetyOutcome::Holds,

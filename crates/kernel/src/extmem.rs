@@ -56,11 +56,21 @@ fn corrupt(what: impl Into<String>) -> io::Error {
 
 /// Serializes entries into the checksummed `PNPRUN03` envelope.
 pub(crate) fn encode_run(entries: &[RunEntry]) -> Vec<u8> {
-    let payloads = entries.iter().map(|e| 16 + e.payload.len()).sum::<usize>();
-    let mut out = start_run(entries.len(), payloads);
-    for entry in entries {
-        push_run_entry(&mut out, entry.key, entry.payload.len());
-        out.extend_from_slice(&entry.payload);
+    encode_entries(entries.iter().map(|e| (e.key, &e.payload[..])))
+}
+
+/// Serializes (key, payload) entries into the checksummed `PNPRUN03`
+/// envelope, in the order given.
+pub(crate) fn encode_entries<'a>(
+    entries: impl Iterator<Item = (u64, &'a [u8])> + Clone,
+) -> Vec<u8> {
+    let (count, body) = entries.clone().fold((0, 0), |(count, body), (_, payload)| {
+        (count + 1, body + 16 + payload.len())
+    });
+    let mut out = start_run(count, body);
+    for (key, payload) in entries {
+        push_run_entry(&mut out, key, payload.len());
+        out.extend_from_slice(payload);
     }
     seal_run(out)
 }

@@ -22,13 +22,12 @@ use std::time::Instant;
 
 use pnp_ltl::{translate, Buchi, Ltl};
 
-use crate::arena::{Interned, StateArena, MAX_ROWS};
+use crate::arena::{Interned, Origin, StateArena, MAX_ROWS};
 use crate::explore::{CancelToken, Checker, Predicate, SearchStats};
-use crate::program::ProcId;
 use crate::reduction::{ample_subset, LocalLocations};
 use crate::state::{
-    apply_step, apply_step_into, enabled_steps, enabled_steps_into, KernelError, State, StateView,
-    Step,
+    apply_step, apply_step_into, enabled_steps, enabled_steps_into, KernelError, PackedStep, State,
+    StateView, Step,
 };
 use crate::trace::{EventKind, Trace, TraceEvent};
 
@@ -245,41 +244,6 @@ const REFUSED: (usize, usize) = (usize::MAX, usize::MAX);
 /// The edge reference of a stutter step (no system step is taken).
 const STUTTER: usize = usize::MAX;
 
-/// A [`Step`] as the edge array keeps it: 16 bytes instead of 40.
-#[derive(Clone, Copy)]
-struct PackedStep {
-    proc: u32,
-    trans: u32,
-    /// The rendezvous partner's process, or `u32::MAX` for none.
-    partner: u32,
-    partner_trans: u32,
-}
-
-impl PackedStep {
-    fn pack(step: Step) -> PackedStep {
-        let narrow = |v: usize| u32::try_from(v).expect("process and transition indices fit u32");
-        let (partner, partner_trans) = match step.partner {
-            Some((q, u)) => (narrow(q.index()), narrow(u)),
-            None => (u32::MAX, 0),
-        };
-        PackedStep {
-            proc: narrow(step.proc.index()),
-            trans: narrow(step.trans),
-            partner,
-            partner_trans,
-        }
-    }
-
-    fn unpack(self) -> Step {
-        Step {
-            proc: ProcId(self.proc as usize),
-            trans: self.trans as usize,
-            partner: (self.partner != u32::MAX)
-                .then_some((ProcId(self.partner as usize), self.partner_trans as usize)),
-        }
-    }
-}
-
 /// The system side of the product: the interned states, and what the
 /// search caches about each, in flat arrays indexed by the state's id.
 struct SysStore {
@@ -290,10 +254,9 @@ struct SysStore {
     succ: Vec<(usize, usize)>,
     /// System edges: the step taken and the successor's id.
     edges: Vec<(PackedStep, u32)>,
-    /// Per state, the values of the `n_props` propositions, valid once
-    /// `labeled`.
+    /// Per state, the values of the `n_props` propositions, evaluated
+    /// when the state is interned.
     labels: Vec<bool>,
-    labeled: Vec<bool>,
     n_props: usize,
     /// Per state, for each of `n_enabled` processes whether it has an
     /// enabled step (as actor or rendezvous partner), written when the
@@ -304,19 +267,28 @@ struct SysStore {
 }
 
 impl SysStore {
-    /// The id of `state`, interning it (if `admit` allows) when it is new.
-    fn intern(&mut self, state: &State, admit: impl FnOnce(usize) -> bool) -> Option<u32> {
-        match self.arena.intern(state, admit) {
-            Interned::Old(id) => Some(id),
+    /// The id of `state`, reached from `origin`, interning it (if `admit`
+    /// allows) when it is new and then evaluating `props` on it, while
+    /// its words are at hand.
+    fn intern(
+        &mut self,
+        state: &StateView<'_>,
+        origin: Option<Origin<'_>>,
+        admit: impl FnOnce(usize) -> bool,
+        props: &[Proposition],
+    ) -> Result<Option<u32>, KernelError> {
+        match self.arena.intern(state.state, origin, admit) {
+            Interned::Old(id) => Ok(Some(id)),
             Interned::New(id) => {
                 self.succ.push(UNEXPANDED);
-                self.labels.resize(self.labels.len() + self.n_props, false);
-                self.labeled.push(false);
                 self.enabled
                     .resize(self.enabled.len() + self.n_enabled, false);
-                Some(id)
+                for prop in props {
+                    self.labels.push(prop.predicate.eval(state)?);
+                }
+                Ok(Some(id))
             }
-            Interned::Refused => None,
+            Interned::Refused => Ok(None),
         }
     }
 
@@ -430,7 +402,7 @@ struct ProductGraph<'p> {
     n_buchi: u64,
     /// Counter values per node: `N + 2` under weak fairness, else 1.
     n_counters: u64,
-    /// Scratch reused by every expansion: the state expanded or labeled,
+    /// Scratch reused by every expansion: the state expanded,
     /// a successor, the step list and a rendezvous message.
     current: State,
     next: State,
@@ -491,7 +463,17 @@ impl ProductGraph<'_> {
                         .as_ref()
                         .is_some_and(CancelToken::is_cancelled)
             };
-            match self.sys.intern(&self.next, admit) {
+            let footprint = self
+                .sys
+                .arena
+                .reads_origin()
+                .then(|| program.layout.footprint(program, &self.current, step));
+            let origin = footprint.as_ref().map(|footprint| Origin {
+                parent: sys,
+                writes: footprint.components(),
+            });
+            let next = StateView::new(program, &self.next);
+            match self.sys.intern(&next, origin, admit, self.props)? {
                 Some(id) => self.sys.edges.push((PackedStep::pack(step), id)),
                 None => self.truncated = true,
             }
@@ -507,22 +489,6 @@ impl ProductGraph<'_> {
         Ok(range)
     }
 
-    /// Evaluates the propositions on system state `sys`, once.
-    fn label(&mut self, sys: u32) -> Result<(), KernelError> {
-        if self.sys.labeled[sys as usize] {
-            return Ok(());
-        }
-        self.sys.arena.load(sys, &mut self.current);
-        let view = StateView::new(self.checker.program, &self.current);
-        let at = sys as usize * self.sys.n_props;
-        let values = &mut self.sys.labels[at..at + self.sys.n_props];
-        for (value, prop) in values.iter_mut().zip(self.props) {
-            *value = prop.predicate.eval(&view)?;
-        }
-        self.sys.labeled[sys as usize] = true;
-        Ok(())
-    }
-
     /// The fairness counter after an edge out of `(sys, _, k)`.
     fn counter(&self, sys: u32, k: u32, source_accepting: bool, moved: &[usize]) -> u32 {
         match self.fairness {
@@ -532,7 +498,7 @@ impl ProductGraph<'_> {
     }
 
     /// Appends `(edge, (sys, t.target, k))` for every automaton transition
-    /// `t` out of `b` that the (already evaluated) labels of `sys` enable.
+    /// `t` out of `b` that the labels of `sys` enable.
     fn push_enabled(&self, b: usize, sys: u32, k: u32, edge: usize, out: &mut Vec<Succ>) {
         let labels = self.sys.labels(sys);
         for t in &self.buchi[b] {
@@ -556,7 +522,6 @@ impl ProductGraph<'_> {
             // No process moves, but none is enabled either, so the fairness
             // counters pass straight through.
             let k2 = self.counter(sys, k, source_accepting, &[]);
-            self.label(sys)?;
             self.push_enabled(b, sys, k2, STUTTER, out);
         } else {
             let mut moved = [0usize; 2];
@@ -564,7 +529,6 @@ impl ProductGraph<'_> {
                 let (step, next_sys) = self.sys.edges[edge];
                 let n_moved = moved_procs(&step.unpack(), &mut moved);
                 let k2 = self.counter(sys, k, source_accepting, &moved[..n_moved]);
-                self.label(next_sys)?;
                 self.push_enabled(b, next_sys, k2, edge, out);
             }
         }
@@ -605,7 +569,8 @@ impl ProductGraph<'_> {
             events.push(TraceEvent::stutter());
             return Ok(());
         }
-        let state = State::from_words(self.sys.arena.row(self.node(source).0).into());
+        let mut state = State::initial(self.checker.program);
+        self.sys.arena.load(self.node(source).0, &mut state);
         let step = self.sys.edges[edge].0.unpack();
         let applied = apply_step(self.checker.program, &state, step)?;
         events.extend(applied.events);
@@ -770,11 +735,10 @@ fn check_ltl_sequential(
             && props.iter().all(|p| p.predicate.is_expr_only()))
         .then(|| LocalLocations::analyze(program)),
         sys: SysStore {
-            arena: StateArena::new(),
+            arena: StateArena::with_components(program.layout.components()),
             succ: Vec::new(),
             edges: Vec::new(),
             labels: Vec::new(),
-            labeled: Vec::new(),
             n_props: props.len(),
             enabled: Vec::new(),
             n_enabled: if fairness == Fairness::Weak {
@@ -797,14 +761,14 @@ fn check_ltl_sequential(
     // The initial state is interned whatever the budget or cancellation
     // say: the search needs a root, and the truncation they cause shows
     // from its first successor on.
+    let initial = State::initial(program);
     let initial = graph
         .sys
-        .intern(&State::initial(program), |_| true)
+        .intern(&StateView::new(program, &initial), None, |_| true, props)?
         .expect("an empty arena admits the initial state");
 
     // Initial product nodes: automaton transitions out of state 0 that
     // read the initial system state's labels.
-    graph.label(initial)?;
     let mut roots = Vec::new();
     graph.push_enabled(buchi.initial(), initial, 0, STUTTER, &mut roots);
 

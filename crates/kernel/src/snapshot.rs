@@ -47,10 +47,11 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use crate::program::{ProcId, Program};
 use crate::rng::{checksum64, fnv64};
-use crate::state::{State, Step};
+use crate::state::{PackedStep, State, Step};
 use crate::vfs::{commit_replace, real_fs, VfsHandle};
 use crate::visited::VisitedKind;
 
@@ -145,6 +146,50 @@ pub(crate) enum VisitedPayload<'a> {
     },
 }
 
+/// The parent half of the [`Link`] of a state without one: the root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One state's discovery link, as a search and its snapshots keep it in
+/// memory: 24 bytes. The wire format is wider (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    /// The parent's id, or [`NO_PARENT`].
+    parent: u32,
+    /// Steps from the initial state.
+    pub(crate) depth: u32,
+    /// The step from the parent; unused without one.
+    step: PackedStep,
+}
+
+impl Link {
+    /// The link of the initial state.
+    pub(crate) fn root() -> Link {
+        Link {
+            parent: NO_PARENT,
+            depth: 0,
+            step: PackedStep::pack(Step {
+                proc: ProcId::from_index(0),
+                trans: 0,
+                partner: None,
+            }),
+        }
+    }
+
+    /// The link of a state reached from state `parent` by `step`.
+    pub(crate) fn new(parent: u32, step: Step, depth: u32) -> Link {
+        Link {
+            parent,
+            depth,
+            step: PackedStep::pack(step),
+        }
+    }
+
+    /// The parent's id and the step from it, unless this is the root.
+    pub(crate) fn parent(&self) -> Option<(u32, Step)> {
+        (self.parent != NO_PARENT).then(|| (self.parent, self.step.unpack()))
+    }
+}
+
 /// A decoded checkpoint of an interrupted safety search.
 ///
 /// Produced by [`crate::Checker::checkpoint_to`] flushes; load one with
@@ -155,8 +200,10 @@ pub struct Snapshot {
     pub(crate) tag: String,
     pub(crate) kind: VisitedKind,
     pub(crate) stats: SnapStats,
-    pub(crate) parents: Vec<Option<(usize, Step)>>,
-    pub(crate) depths: Vec<usize>,
+    /// Every state's link, by id. Shared, so that a resumed search reads
+    /// the links it resumes from where they are, and clones of the
+    /// snapshot do not copy them.
+    pub(crate) links: Arc<Vec<Link>>,
     pub(crate) frontier: Vec<(usize, State)>,
     pub(crate) visited: VisitedPayload<'static>,
 }
@@ -179,7 +226,7 @@ impl Snapshot {
 
     /// Unique states discovered before the interruption.
     pub fn states_covered(&self) -> usize {
-        self.parents.len()
+        self.links.len()
     }
 
     /// States discovered but not yet expanded.
@@ -199,8 +246,7 @@ impl Snapshot {
             tag: &self.tag,
             kind: self.kind,
             stats: self.stats,
-            parents: &self.parents,
-            depths: &self.depths,
+            links: [&self.links, &[]],
             visited: &self.visited,
         };
         let frontier = |row: &mut dyn FnMut(usize, &[i32])| {
@@ -284,10 +330,16 @@ impl Snapshot {
             merge_passes: r.u64()?,
         };
         let n_parents = r.usize()?;
-        let mut parents = Vec::new();
+        if n_parents > NO_PARENT as usize {
+            return Err(SnapshotError::Corrupted(format!(
+                "{n_parents} states overflow 32-bit state ids"
+            )));
+        }
+        // Each link takes at least a byte, which bounds a corrupted count.
+        let mut links = Vec::with_capacity(n_parents.min(r.bytes.len() - r.pos));
         for i in 0..n_parents {
             match r.u8()? {
-                0 => parents.push(None),
+                0 => links.push(Link::root()),
                 1 => {
                     let id = r.usize()?;
                     if id >= i {
@@ -296,7 +348,7 @@ impl Snapshot {
                         )));
                     }
                     let step = r.step()?;
-                    parents.push(Some((id, step)));
+                    links.push(Link::new(id as u32, step, 0));
                 }
                 other => {
                     return Err(SnapshotError::Corrupted(format!(
@@ -311,9 +363,10 @@ impl Snapshot {
                 "{n_parents} parents but {n_depths} depths"
             )));
         }
-        let mut depths = Vec::new();
-        for _ in 0..n_depths {
-            depths.push(r.usize()?);
+        for link in &mut links {
+            let depth = r.u64()?;
+            link.depth = u32::try_from(depth)
+                .map_err(|_| SnapshotError::Corrupted(format!("depth {depth} overflows")))?;
         }
         let n_frontier = r.usize()?;
         let mut frontier = Vec::new();
@@ -361,8 +414,7 @@ impl Snapshot {
             tag,
             kind,
             stats,
-            parents,
-            depths,
+            links: Arc::new(links),
             frontier,
             visited,
         })
@@ -378,8 +430,8 @@ pub(crate) struct SearchImage<'a> {
     pub(crate) tag: &'a str,
     pub(crate) kind: VisitedKind,
     pub(crate) stats: SnapStats,
-    pub(crate) parents: &'a [Option<(usize, Step)>],
-    pub(crate) depths: &'a [usize],
+    /// Every state's link, by id: the first slice, then the second.
+    pub(crate) links: [&'a [Link]; 2],
     pub(crate) visited: &'a VisitedPayload<'a>,
 }
 
@@ -420,20 +472,22 @@ impl SearchImage<'_> {
         w.u64(self.stats.spilled_states);
         w.u64(self.stats.spill_bytes);
         w.u64(self.stats.merge_passes);
-        w.u64(self.parents.len() as u64);
-        for parent in self.parents {
-            match parent {
+        let links = || self.links.iter().flat_map(|part| part.iter());
+        let n_links = self.links.iter().map(|part| part.len()).sum::<usize>();
+        w.u64(n_links as u64);
+        for link in links() {
+            match link.parent() {
                 None => w.u8(0),
                 Some((id, step)) => {
                     w.u8(1);
-                    w.u64(*id as u64);
-                    w.step(step);
+                    w.u64(u64::from(id));
+                    w.step(&step);
                 }
             }
         }
-        w.u64(self.depths.len() as u64);
-        for &d in self.depths {
-            w.u64(d as u64);
+        w.u64(n_links as u64);
+        for link in links() {
+            w.u64(u64::from(link.depth));
         }
         w.u64(frontier_len as u64);
         let mut rows = 0;
@@ -713,12 +767,23 @@ impl Reader<'_> {
             .map_err(|_| SnapshotError::Corrupted("tag is not UTF-8".into()))
     }
 
+    /// An index a [`PackedStep`] can hold.
+    fn index(&mut self) -> Result<usize, SnapshotError> {
+        let v = self.u64()?;
+        match u32::try_from(v) {
+            Ok(v) if v != u32::MAX => Ok(v as usize),
+            _ => Err(SnapshotError::Corrupted(format!(
+                "step index {v} overflows"
+            ))),
+        }
+    }
+
     fn step(&mut self) -> Result<Step, SnapshotError> {
-        let proc = ProcId::from_index(self.usize()?);
-        let trans = self.usize()?;
+        let proc = ProcId::from_index(self.index()?);
+        let trans = self.index()?;
         let partner = match self.u8()? {
             0 => None,
-            1 => Some((ProcId::from_index(self.usize()?), self.usize()?)),
+            1 => Some((ProcId::from_index(self.index()?), self.index()?)),
             other => {
                 return Err(SnapshotError::Corrupted(format!(
                     "bad partner flag {other}"
@@ -780,8 +845,7 @@ mod tests {
                 spill_bytes: 640,
                 merge_passes: 2,
             },
-            parents: vec![None, Some((0, step))],
-            depths: vec![0, 1],
+            links: Arc::new(vec![Link::root(), Link::new(0, step, 1)]),
             frontier: vec![(1, state)],
             visited: VisitedPayload::Bitstate {
                 arena: vec![0b1011, 0, u64::MAX].into(),
@@ -798,8 +862,7 @@ mod tests {
         assert_eq!(decoded.tag, snap.tag);
         assert_eq!(decoded.kind, snap.kind);
         assert_eq!(decoded.stats, snap.stats);
-        assert_eq!(decoded.parents, snap.parents);
-        assert_eq!(decoded.depths, snap.depths);
+        assert_eq!(decoded.links, snap.links);
         assert_eq!(decoded.frontier.len(), 1);
         assert_eq!(decoded.frontier[0].0, 1);
         assert_eq!(decoded.frontier[0].1, snap.frontier[0].1);

@@ -13,6 +13,13 @@
 //! its length followed by `capacity × arity` message slots; the queue is
 //! left-aligned and unused slots are zero, so equal words mean equal
 //! content. Rendezvous channels never hold a message and take no words.
+//!
+//! The layout also cuts the words into *components*: each process's
+//! location and locals, the globals (when there are any), and each
+//! buffered channel's queue, in that order. A step writes only the
+//! components of its [`Footprint`], which is what lets the state store
+//! keep a state as one value id per component
+//! ([`crate::arena::StateArena`]).
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -72,10 +79,12 @@ impl fmt::Display for Msg {
 
 /// Where a buffered channel's queue lives in a state's words: a length
 /// word at `at`, then `capacity × arity` left-aligned message slots.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct QueueLayout {
     at: usize,
     arity: usize,
+    /// The queue's component number.
+    component: u32,
 }
 
 impl QueueLayout {
@@ -109,7 +118,7 @@ impl QueueLayout {
 
 /// The word layout of a program's states, derived once by
 /// [`ProgramBuilder::build`](crate::ProgramBuilder::build).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct Layout {
     /// Offset of each process's location word; its locals follow and end
     /// where the next entry begins. The extra last entry is where the
@@ -119,8 +128,36 @@ pub(crate) struct Layout {
     globals_end: usize,
     /// Each channel's queue; `None` for a rendezvous channel.
     chans: Box<[Option<QueueLayout>]>,
+    /// The component number of the globals, when there are any.
+    globals_component: Option<u32>,
+    /// Where each component's words begin, and past the last one the
+    /// state's width: component `c` is words `bounds[c]..bounds[c + 1]`.
+    bounds: Box<[u32]>,
     /// The initial state's words.
     initial: Box<[i32]>,
+}
+
+// `Debug` renders what a derived `Debug` rendered before the layout
+// numbered its components: `program_fingerprint` hashes this text (see
+// `Program`'s `Debug`), and the components follow from the rest.
+impl fmt::Debug for QueueLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueueLayout")
+            .field("at", &self.at)
+            .field("arity", &self.arity)
+            .finish()
+    }
+}
+
+impl fmt::Debug for Layout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Layout")
+            .field("procs", &self.procs)
+            .field("globals_end", &self.globals_end)
+            .field("chans", &self.chans)
+            .field("initial", &self.initial)
+            .finish()
+    }
 }
 
 impl Layout {
@@ -139,6 +176,12 @@ impl Layout {
         procs.push(initial.len());
         initial.extend(globals.iter().map(|&(_, v)| v));
         let globals_end = initial.len();
+        let narrow = |v: usize| u32::try_from(v).expect("a state's words fit u32 offsets");
+        let mut bounds: Vec<u32> = procs.iter().map(|&at| narrow(at)).collect();
+        let globals_component = (!globals.is_empty()).then(|| {
+            bounds.push(narrow(globals_end));
+            narrow(bounds.len() - 2)
+        });
         let chans = channels
             .iter()
             .map(|c| {
@@ -149,7 +192,12 @@ impl Layout {
                         .checked_mul(c.arity)
                         .expect("channel capacity × arity overflows");
                     initial.resize(at + 1 + slots, 0);
-                    QueueLayout { at, arity: c.arity }
+                    bounds.push(narrow(initial.len()));
+                    QueueLayout {
+                        at,
+                        arity: c.arity,
+                        component: narrow(bounds.len() - 2),
+                    }
                 })
             })
             .collect();
@@ -157,8 +205,44 @@ impl Layout {
             procs: procs.into_boxed_slice(),
             globals_end,
             chans,
+            globals_component,
+            bounds: bounds.into_boxed_slice(),
             initial: initial.into_boxed_slice(),
         }
+    }
+
+    /// Where each component's words begin, then the state's width.
+    pub(crate) fn components(&self) -> &[u32] {
+        &self.bounds
+    }
+
+    /// The components `step`, enabled in `state`, can write: the actor's
+    /// and its rendezvous partner's location and locals, the globals, and
+    /// the queue of a buffered channel the step sends or receives on.
+    pub(crate) fn footprint(&self, program: &Program, state: &State, step: Step) -> Footprint {
+        let mut footprint = Footprint {
+            components: [0; 4],
+            len: 0,
+        };
+        let mut add = |component: u32| {
+            footprint.components[footprint.len] = component;
+            footprint.len += 1;
+        };
+        let pi = step.proc.index();
+        add(pi as u32);
+        if let Some((partner, _)) = step.partner {
+            add(partner.index() as u32);
+        }
+        if let Some(globals) = self.globals_component {
+            add(globals);
+        }
+        let t = &program.processes[pi].outgoing[state.loc(self, pi) as usize][step.trans];
+        if let Action::Send { chan, .. } | Action::Recv { chan, .. } = &t.action {
+            if let Some(queue) = self.queue(*chan) {
+                add(queue.component);
+            }
+        }
+        footprint
     }
 
     /// The number of words in every state of the program.
@@ -188,6 +272,21 @@ impl Layout {
             globals: &words[self.globals()],
             pid: proc as i32,
         }
+    }
+}
+
+/// The components a step can write ([`Layout::footprint`]); every other
+/// component of its successor is its parent's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Footprint {
+    components: [u32; 4],
+    len: usize,
+}
+
+impl Footprint {
+    /// The component numbers, distinct, the actor's first.
+    pub(crate) fn components(&self) -> &[u32] {
+        &self.components[..self.len]
     }
 }
 
@@ -350,8 +449,14 @@ impl State {
     /// and the hash a state with those words carries (as a
     /// [`crate::arena::StateArena`] row keeps it).
     pub(crate) fn load(&mut self, words: &[i32], hash: u64) {
-        debug_assert_eq!(hash, state_hash(words));
-        self.words.copy_from_slice(words);
+        self.load_with(hash, |out| out.copy_from_slice(words));
+    }
+
+    /// Overwrites this state, in place, with the words `fill` writes over
+    /// it and the hash a state with those words carries.
+    pub(crate) fn load_with(&mut self, hash: u64, fill: impl FnOnce(&mut [i32])) {
+        fill(&mut self.words);
+        debug_assert_eq!(hash, state_hash(&self.words));
         self.hash = hash;
     }
 
@@ -492,6 +597,41 @@ pub struct Step {
     /// For a rendezvous send: the receiving process and its transition
     /// index.
     pub partner: Option<(ProcId, usize)>,
+}
+
+/// A [`Step`] as the search's arrays keep it: 16 bytes instead of 40.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedStep {
+    proc: u32,
+    trans: u32,
+    /// The rendezvous partner's process, or `u32::MAX` for none.
+    partner: u32,
+    partner_trans: u32,
+}
+
+impl PackedStep {
+    pub(crate) fn pack(step: Step) -> PackedStep {
+        let narrow = |v: usize| u32::try_from(v).expect("process and transition indices fit u32");
+        let (partner, partner_trans) = match step.partner {
+            Some((q, u)) => (narrow(q.index()), narrow(u)),
+            None => (u32::MAX, 0),
+        };
+        PackedStep {
+            proc: narrow(step.proc.index()),
+            trans: narrow(step.trans),
+            partner,
+            partner_trans,
+        }
+    }
+
+    pub(crate) fn unpack(self) -> Step {
+        Step {
+            proc: ProcId(self.proc as usize),
+            trans: self.trans as usize,
+            partner: (self.partner != u32::MAX)
+                .then_some((ProcId(self.partner as usize), self.partner_trans as usize)),
+        }
+    }
 }
 
 /// An error surfaced by the kernel while exploring or simulating.

@@ -28,14 +28,14 @@
 //! precise, so it never weakens a verdict — it trades I/O for RAM.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
 
-use crate::arena::{Interned, StateArena};
-use crate::extmem::{decode_run, encode_run, index_run, merge_runs, RunEntry};
+use crate::arena::{Interned, Origin, StateArena, Table};
+use crate::extmem::{decode_run, encode_entries, encode_run, index_run, merge_runs};
 use crate::rng::SplitMix64;
 use crate::snapshot::{append_words, encode_words_into, encoded_words_len};
 use crate::state::{words_hash, State};
@@ -214,6 +214,15 @@ impl ExactVisited {
     pub(crate) fn arena(&self) -> &StateArena {
         &self.arena
     }
+
+    /// [`VisitedSet::insert_if_new`] of a state reached from `origin`.
+    fn insert_from(&mut self, state: &State, origin: Option<Origin<'_>>, room: bool) -> Insert {
+        match self.arena.intern(state, origin, |_| room) {
+            Interned::Old(_) => Insert::Duplicate,
+            Interned::New(_) => Insert::Inserted,
+            Interned::Refused => Insert::BudgetExhausted,
+        }
+    }
 }
 
 impl VisitedSet for ExactVisited {
@@ -222,15 +231,11 @@ impl VisitedSet for ExactVisited {
     }
 
     fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
-        match self.arena.intern(state, |_| room) {
-            Interned::Old(_) => Insert::Duplicate,
-            Interned::New(_) => Insert::Inserted,
-            Interned::Refused => Insert::BudgetExhausted,
-        }
+        self.insert_from(state, None, room)
     }
 
     fn intern(&mut self, state: &State) {
-        self.arena.intern(state, |_| true);
+        self.arena.intern(state, None, |_| true);
     }
 
     fn len(&self) -> usize {
@@ -486,14 +491,67 @@ struct CachedRun {
     index: Vec<(u64, Range<usize>)>,
 }
 
-#[derive(Default)]
 struct DiskPartition {
-    /// Write buffer: state hash → the payloads of buffered states with
-    /// that hash (almost always one).
-    buf: HashMap<u64, Vec<Vec<u8>>>,
+    /// Write buffer: the buffered states' hashes, their payloads back to
+    /// back (buffered state `i`'s ends at `ends[i]`), and an index of the
+    /// buffered states by hash. Flushing empties them and keeps their
+    /// capacity, so a buffered state allocates nothing of its own.
+    keys: Vec<u64>,
+    ends: Vec<usize>,
+    payloads: Vec<u8>,
+    index: Table,
+    /// Bytes billed for the buffered states.
     buf_bytes: usize,
     runs: Vec<DiskRun>,
     next_run: u64,
+}
+
+impl DiskPartition {
+    fn new() -> DiskPartition {
+        DiskPartition {
+            keys: Vec::new(),
+            ends: Vec::new(),
+            payloads: Vec::new(),
+            index: Table::new(),
+            buf_bytes: 0,
+            runs: Vec::new(),
+            next_run: 0,
+        }
+    }
+
+    /// Buffered state `i`'s payload.
+    fn payload(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.payloads[start..self.ends[i]]
+    }
+
+    /// Whether a state with this hash and payload is buffered.
+    fn buffers(&self, hash: u64, payload: &[u8]) -> bool {
+        self.index
+            .probe(index_key(hash), |i| {
+                let i = i as usize;
+                self.keys[i] == hash && self.payload(i) == payload
+            })
+            .is_ok()
+    }
+
+    /// Buffers a state, known to be absent, by its hash and words.
+    fn push(&mut self, hash: u64, words: &[i32]) {
+        let i = self.keys.len();
+        append_words(words, &mut self.payloads);
+        self.keys.push(hash);
+        self.ends.push(self.payloads.len());
+        let vacant = self.index.vacant(index_key(hash));
+        self.index.fill(vacant, index_key(hash), i as u32, i + 1);
+        self.buf_bytes += encoded_words_len(words.len()) + 24;
+    }
+}
+
+/// What a partition's buffer index files a state hash under. Every hash
+/// of one partition shares its low bits (the partition number), which
+/// would crowd the index's home slots; the high half does not.
+fn index_key(hash: u64) -> u64 {
+    hash.rotate_right(32)
 }
 
 struct DiskRun {
@@ -534,9 +592,7 @@ impl DiskExactVisited {
             vfs,
             dir,
             bloom: BitstateVisited::new(bloom_bytes, 3),
-            parts: (0..DISK_PARTITIONS)
-                .map(|_| DiskPartition::default())
-                .collect(),
+            parts: (0..DISK_PARTITIONS).map(|_| DiskPartition::new()).collect(),
             buf_cap: buf_cap.max(1),
             len: 0,
             spilled_states: 0,
@@ -618,34 +674,31 @@ impl DiskExactVisited {
     /// Writes partition `part`'s buffer out as a new sorted run. On error
     /// the buffer is untouched, so no state is lost.
     fn flush_partition(&mut self, part: usize) -> io::Result<()> {
-        if self.parts[part].buf.is_empty() {
+        let slot = &self.parts[part];
+        if slot.keys.is_empty() {
             return Ok(());
         }
-        let mut entries: Vec<RunEntry> = self.parts[part]
-            .buf
-            .iter()
-            .flat_map(|(&key, payloads)| {
-                payloads.iter().map(move |payload| RunEntry {
-                    key,
-                    payload: payload.clone(),
-                })
-            })
-            .collect();
-        // Hash-map iteration order is arbitrary; sorting makes the run
-        // bytes (and thus the whole disk-op sequence) deterministic.
-        entries.sort_unstable();
-        let bytes = encode_run(&entries);
-        let seq = self.parts[part].next_run;
+        // Runs are sorted by (hash, payload), which makes the run bytes
+        // (and thus the whole disk-op sequence) a function of the set.
+        let mut order: Vec<usize> = (0..slot.keys.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            (slot.keys[a], slot.payload(a)).cmp(&(slot.keys[b], slot.payload(b)))
+        });
+        let bytes = encode_entries(order.iter().map(|&i| (slot.keys[i], slot.payload(i))));
+        let seq = slot.next_run;
         commit_replace(self.vfs.as_ref(), &self.run_path(part, seq), &bytes)?;
         let slot = &mut self.parts[part];
         slot.runs.push(DiskRun {
             seq,
-            hashes: entries.iter().map(|e| e.key).collect(),
+            hashes: order.iter().map(|&i| slot.keys[i]).collect(),
         });
         slot.next_run = seq + 1;
-        slot.buf.clear();
+        slot.keys.clear();
+        slot.ends.clear();
+        slot.payloads.clear();
+        slot.index.clear();
         slot.buf_bytes = 0;
-        self.spilled_states += entries.len();
+        self.spilled_states += order.len();
         self.spill_bytes += bytes.len();
         if self.parts[part].runs.len() >= DISK_MAX_RUNS {
             self.compact(part)?;
@@ -660,11 +713,7 @@ impl DiskExactVisited {
     pub(crate) fn insert_new(&mut self, words: &[i32], hash: u64) {
         self.bloom.set_bits(words);
         let part = hash as usize & (DISK_PARTITIONS - 1);
-        let mut payload = Vec::with_capacity(encoded_words_len(words.len()));
-        append_words(words, &mut payload);
-        let slot = &mut self.parts[part];
-        slot.buf_bytes += payload.len() + 24;
-        slot.buf.entry(hash).or_default().push(payload);
+        self.parts[part].push(hash, words);
         self.len += 1;
         if self.parts[part].buf_bytes >= self.buf_cap {
             if let Err(e) = self.flush_partition(part) {
@@ -710,10 +759,8 @@ impl VisitedSet for DiskExactVisited {
         let part = hash as usize & (DISK_PARTITIONS - 1);
         let mut payload = self.scratch.borrow_mut();
         encode_words_into(state.words(), &mut payload);
-        if let Some(candidates) = self.parts[part].buf.get(&hash) {
-            if candidates.contains(&*payload) {
-                return true;
-            }
+        if self.parts[part].buffers(hash, &payload) {
+            return true;
         }
         for run in self.parts[part].runs.iter().rev() {
             if run.hashes.binary_search(&hash).is_err() {
@@ -794,9 +841,14 @@ pub(crate) enum AnyVisited {
 }
 
 impl AnyVisited {
-    pub(crate) fn new(kind: VisitedKind, per_state_bytes: usize) -> AnyVisited {
+    /// An empty backend of `kind` for states cut into components at
+    /// `bounds` ([`StateArena::with_components`]).
+    pub(crate) fn new(kind: VisitedKind, per_state_bytes: usize, bounds: &[u32]) -> AnyVisited {
         match kind {
-            VisitedKind::Exact => AnyVisited::Exact(ExactVisited::new(per_state_bytes)),
+            VisitedKind::Exact => AnyVisited::Exact(ExactVisited::from_arena(
+                StateArena::with_components(bounds),
+                per_state_bytes,
+            )),
             VisitedKind::Compact => AnyVisited::Compact(CompactVisited::new()),
             VisitedKind::Bitstate {
                 arena_bytes,
@@ -805,6 +857,29 @@ impl AnyVisited {
             VisitedKind::DiskExact => {
                 unreachable!("the disk backend is constructed by the explorer with its storage")
             }
+        }
+    }
+
+    /// Whether [`AnyVisited::insert_successor`] reads the origin
+    /// ([`StateArena::reads_origin`]).
+    pub(crate) fn reads_origin(&self) -> bool {
+        matches!(self, AnyVisited::Exact(s) if s.arena.reads_origin())
+    }
+
+    /// [`VisitedSet::insert_if_new`] of a successor of a state with the
+    /// same backend id, reached from `origin`: the search's per-successor
+    /// call, dispatched statically.
+    pub(crate) fn insert_successor(
+        &mut self,
+        state: &State,
+        origin: Option<Origin<'_>>,
+        room: bool,
+    ) -> Insert {
+        match self {
+            AnyVisited::Exact(s) => s.insert_from(state, origin, room),
+            AnyVisited::Compact(s) => s.insert_if_new(state, room),
+            AnyVisited::Bitstate(s) => s.insert_if_new(state, room),
+            AnyVisited::Disk(s) => s.insert_if_new(state, room),
         }
     }
 
@@ -832,14 +907,8 @@ impl VisitedSet for AnyVisited {
         self.inner().contains(state)
     }
 
-    /// Dispatched statically: this is the search's per-successor call.
     fn insert_if_new(&mut self, state: &State, room: bool) -> Insert {
-        match self {
-            AnyVisited::Exact(s) => s.insert_if_new(state, room),
-            AnyVisited::Compact(s) => s.insert_if_new(state, room),
-            AnyVisited::Bitstate(s) => s.insert_if_new(state, room),
-            AnyVisited::Disk(s) => s.insert_if_new(state, room),
-        }
+        self.inner_mut().insert_if_new(state, room)
     }
 
     fn intern(&mut self, state: &State) {

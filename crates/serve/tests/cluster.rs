@@ -9,7 +9,6 @@
 //! must land exactly once with results byte-identical to a direct
 //! single-node verification.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,6 +20,9 @@ use pnp_serve::cluster::{ClusterConfig, Coordinator, WorkerGateway};
 use pnp_serve::job::{JobConfig, JobRequest, Verdict};
 use pnp_serve::netchaos::{run_net_schedule, NetSchedule};
 use pnp_serve::supervisor::{ServeConfig, Supervisor};
+
+mod common;
+use common::TempDir;
 
 const COUNTERS: &str = r#"
 system {
@@ -45,28 +47,22 @@ system {
 }
 "#;
 
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn temp_state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pnp-cluster-test-{tag}-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn worker_supervisor(tag: &str) -> Arc<Supervisor> {
+/// The guard of a worker's state directory, and the worker's supervisor
+/// (bound in this order, the supervisor drops first).
+fn worker_supervisor(tag: &str) -> (TempDir, Arc<Supervisor>) {
+    let dir = TempDir::new(&format!("cluster-test-{tag}"));
     let config = ServeConfig {
         workers: 2,
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(50),
         checkpoint_every: 100,
-        state_dir: temp_state_dir(tag),
+        state_dir: dir.path().to_path_buf(),
         ..ServeConfig::default()
     };
-    Arc::new(Supervisor::start(config).expect("supervisor starts"))
+    (
+        dir,
+        Arc::new(Supervisor::start(config).expect("supervisor starts")),
+    )
 }
 
 fn baseline_fingerprint(source: &str) -> u64 {
@@ -85,9 +81,10 @@ fn cluster_round_trip_over_simnet_matches_single_node() {
     let net = SimNet::new(42);
     let now = Arc::new(AtomicU64::new(0));
 
+    let coord_dir = TempDir::new("cluster-test-coord");
     let coordinator = Arc::new(Coordinator::new(
         ClusterConfig {
-            state_dir: temp_state_dir("coord"),
+            state_dir: coord_dir.path().to_path_buf(),
             ..ClusterConfig::default()
         },
         Arc::new(net.endpoint("coord")),
@@ -103,10 +100,13 @@ fn cluster_round_trip_over_simnet_matches_single_node() {
         );
     }
 
+    let mut worker_dirs = Vec::new();
     let gateways: Vec<Arc<WorkerGateway>> = ["w1", "w2"]
         .iter()
         .map(|name| {
-            let gateway = Arc::new(WorkerGateway::new(name, worker_supervisor(name)));
+            let (dir, supervisor) = worker_supervisor(name);
+            worker_dirs.push(dir);
+            let gateway = Arc::new(WorkerGateway::new(name, supervisor));
             let handler = Arc::clone(&gateway);
             net.register(
                 name,
@@ -167,9 +167,10 @@ fn cluster_round_trip_over_simnet_matches_single_node() {
 #[test]
 fn coordinator_deduplicates_idempotent_submissions() {
     let net = SimNet::new(7);
+    let coord_dir = TempDir::new("cluster-test-idem");
     let coordinator = Arc::new(Coordinator::new(
         ClusterConfig {
-            state_dir: temp_state_dir("idem"),
+            state_dir: coord_dir.path().to_path_buf(),
             ..ClusterConfig::default()
         },
         Arc::new(net.endpoint("coord")),
@@ -219,7 +220,8 @@ fn seed_snapshot_resume_is_fingerprint_identical() {
     // Produce a genuine mid-search snapshot by running under a tripping
     // state budget with flush-on-trip checkpointing.
     let spec = compile(COUNTERS).expect("spec compiles");
-    let base = temp_state_dir("seedsnap").join("seed.pnpsnap");
+    let seed_dir = TempDir::new("cluster-test-seedsnap");
+    let base = seed_dir.path().join("seed.pnpsnap");
     std::fs::create_dir_all(base.parent().unwrap()).unwrap();
     let bounded = pnp_kernel::SearchConfig {
         max_states: 20,
@@ -237,7 +239,7 @@ fn seed_snapshot_resume_is_fingerprint_identical() {
         .expect("snapshot store readable")
         .expect("budget trip flushed a generation");
 
-    let supervisor = worker_supervisor("seeded");
+    let (_dir, supervisor) = worker_supervisor("seeded");
     let mut request = JobRequest::new(COUNTERS.to_string(), JobConfig::default());
     request.seed_snapshot = Some(snapshot.encode());
     let id = supervisor.submit(request).expect("admitted");

@@ -7,8 +7,6 @@
 //! can catch it.
 
 use std::net::TcpListener;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,6 +17,9 @@ use pnp_serve::job::{JobConfig, JobRequest};
 use pnp_serve::supervisor::{ServeConfig, Supervisor};
 use pnp_serve::transport::{decode_completion, encode_dispatch, Dispatch};
 use pnp_serve::Node;
+
+mod common;
+use common::TempDir;
 
 const SPEC: &str = r#"
 system {
@@ -43,24 +44,13 @@ system {
 }
 "#;
 
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn temp_state_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pnp-cluster-wire-test-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn poll_completion_survives_real_tcp_byte_for_byte() {
+    let dir = TempDir::new("cluster-wire-test");
     let supervisor = Arc::new(
         Supervisor::start(ServeConfig {
             workers: 1,
-            state_dir: temp_state_dir(),
+            state_dir: dir.path().to_path_buf(),
             ..ServeConfig::default()
         })
         .expect("supervisor starts"),

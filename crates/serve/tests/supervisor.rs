@@ -4,14 +4,16 @@
 //! shedding, cancellation, permanent vs. transient failure handling, and
 //! drain/restore across a supervisor restart.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::Duration;
 
 use pnp_kernel::SearchConfig;
 use pnp_serve::job::{Chaos, JobConfig, JobId, JobRequest, Verdict};
 use pnp_serve::queue::QueuePolicy;
 use pnp_serve::supervisor::{ServeConfig, Supervisor};
+
+mod common;
+use common::TempDir;
 
 /// Three independent counters → ~1000 unique states: enough for several
 /// checkpoint flushes at `checkpoint_every = 100`, small enough that a
@@ -64,20 +66,10 @@ system {
 }
 "#;
 
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn temp_state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pnp-serve-test-{tag}-{}-{}",
-        std::process::id(),
-        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn test_config(tag: &str) -> ServeConfig {
-    ServeConfig {
+/// A test's configuration, and the guard of its state directory.
+fn test_config(tag: &str) -> (ServeConfig, TempDir) {
+    let dir = TempDir::new(&format!("serve-test-{tag}"));
+    let config = ServeConfig {
         workers: 2,
         default_deadline: Duration::from_secs(20),
         max_attempts: 3,
@@ -85,9 +77,10 @@ fn test_config(tag: &str) -> ServeConfig {
         backoff_cap: Duration::from_millis(50),
         wedge_grace: Duration::from_secs(3),
         checkpoint_every: 100,
-        state_dir: temp_state_dir(tag),
+        state_dir: dir.path().to_path_buf(),
         ..ServeConfig::default()
-    }
+    };
+    (config, dir)
 }
 
 fn request(source: &str, config: JobConfig) -> JobRequest {
@@ -102,7 +95,8 @@ const WAIT: Duration = Duration::from_secs(30);
 /// uninterrupted run of the same specification.
 #[test]
 fn killed_job_retries_from_checkpoint_with_identical_totals() {
-    let supervisor = Supervisor::start(test_config("kill")).unwrap();
+    let (config, _dir) = test_config("kill");
+    let supervisor = Supervisor::start(config).unwrap();
 
     let clean = supervisor
         .submit(request(COUNTERS, JobConfig::default()))
@@ -152,7 +146,8 @@ fn killed_job_retries_from_checkpoint_with_identical_totals() {
 /// still match an uninterrupted run.
 #[test]
 fn deadline_tripped_job_resumes_and_matches() {
-    let supervisor = Supervisor::start(test_config("deadline")).unwrap();
+    let (config, _dir) = test_config("deadline");
+    let supervisor = Supervisor::start(config).unwrap();
 
     let clean = supervisor
         .submit(request(COUNTERS, JobConfig::default()))
@@ -192,7 +187,8 @@ fn deadline_tripped_job_resumes_and_matches() {
 /// inconclusive with partial statistics on its first attempt — no retry.
 #[test]
 fn over_budget_job_is_inconclusive_with_partial_stats() {
-    let supervisor = Supervisor::start(test_config("budget")).unwrap();
+    let (config, _dir) = test_config("budget");
+    let supervisor = Supervisor::start(config).unwrap();
     let mut config = JobConfig::default();
     config.config.max_states = 50;
     let id = supervisor.submit(request(COUNTERS, config)).unwrap();
@@ -208,7 +204,8 @@ fn over_budget_job_is_inconclusive_with_partial_stats() {
 /// attempt, with the structured reason preserved.
 #[test]
 fn model_error_fails_permanently_without_retry() {
-    let supervisor = Supervisor::start(test_config("permanent")).unwrap();
+    let (config, _dir) = test_config("permanent");
+    let supervisor = Supervisor::start(config).unwrap();
     let id = supervisor
         .submit(request(BROKEN, JobConfig::default()))
         .unwrap();
@@ -229,7 +226,8 @@ fn model_error_fails_permanently_without_retry() {
 /// and fails with a structured, non-retryable error.
 #[test]
 fn persistent_panic_exhausts_retries() {
-    let supervisor = Supervisor::start(test_config("exhaust")).unwrap();
+    let (config, _dir) = test_config("exhaust");
+    let supervisor = Supervisor::start(config).unwrap();
     let id = supervisor
         .submit(request(
             COUNTERS,
@@ -255,7 +253,8 @@ fn persistent_panic_exhausts_retries() {
 /// retry loop.
 #[test]
 fn garbage_source_fails_cleanly() {
-    let supervisor = Supervisor::start(test_config("garbage")).unwrap();
+    let (config, _dir) = test_config("garbage");
+    let supervisor = Supervisor::start(config).unwrap();
     let id = supervisor
         .submit(request("system { component ???", JobConfig::default()))
         .unwrap();
@@ -268,7 +267,7 @@ fn garbage_source_fails_cleanly() {
 /// a structured retry hint while admitted jobs still finish.
 #[test]
 fn overload_sheds_with_retry_hint_while_in_flight_jobs_finish() {
-    let mut config = test_config("shed");
+    let (mut config, _dir) = test_config("shed");
     config.workers = 1;
     config.queue = QueuePolicy {
         capacity: 2,
@@ -318,7 +317,7 @@ fn overload_sheds_with_retry_hint_while_in_flight_jobs_finish() {
     assert!(supervisor.stats().shed >= 1);
 
     // Byte watermark sheds too, independently of the depth watermark.
-    let mut config = test_config("shed-bytes");
+    let (mut config, _dir) = test_config("shed-bytes");
     config.queue.max_queued_bytes = 8;
     let tiny = Supervisor::start(config).unwrap();
     let shed = tiny
@@ -340,7 +339,7 @@ fn overload_sheds_with_retry_hint_while_in_flight_jobs_finish() {
 /// `cancelled: false`.
 #[test]
 fn cancellation_covers_queued_and_running_jobs() {
-    let mut config = test_config("cancel");
+    let (mut config, _dir) = test_config("cancel");
     config.workers = 1;
     let supervisor = Supervisor::start(config).unwrap();
 
@@ -379,7 +378,7 @@ fn cancellation_covers_queued_and_running_jobs() {
 /// id.
 #[test]
 fn drain_persists_queue_and_restart_restores_it() {
-    let mut config = test_config("drain");
+    let (mut config, _dir) = test_config("drain");
     config.workers = 1;
     let state_dir = config.state_dir.clone();
     let supervisor = Supervisor::start(config.clone()).unwrap();
@@ -432,7 +431,7 @@ fn drain_persists_queue_and_restart_restores_it() {
 /// A corrupt persisted queue is quarantined, not trusted and not fatal.
 #[test]
 fn corrupt_queue_file_is_quarantined() {
-    let config = test_config("corrupt");
+    let (config, _dir) = test_config("corrupt");
     std::fs::create_dir_all(&config.state_dir).unwrap();
     std::fs::write(config.state_dir.join("queue.pnpq"), b"not a queue").unwrap();
     let supervisor = Supervisor::start(config.clone()).unwrap();
@@ -452,7 +451,7 @@ fn corrupt_queue_file_is_quarantined() {
 /// quarantined, never resumed: the job reruns from scratch.
 #[test]
 fn previous_format_checkpoints_are_quarantined() {
-    let mut config = test_config("old-format");
+    let (mut config, _dir) = test_config("old-format");
     config.workers = 1;
     let supervisor = Supervisor::start(config.clone()).unwrap();
     // Wedge the only worker so the second job is still queued at drain.
@@ -515,7 +514,8 @@ system {
 /// including the counterexample lasso of the violated property.
 #[test]
 fn threaded_ltl_jobs_report_sequential_verdicts() {
-    let supervisor = Supervisor::start(test_config("ltl")).unwrap();
+    let (config, _dir) = test_config("ltl");
+    let supervisor = Supervisor::start(config).unwrap();
     let mut runs = Vec::new();
     for threads in [1, 4] {
         let id = supervisor
